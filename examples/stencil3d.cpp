@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                         ? cxm::Backend::Sim
                         : cxm::Backend::Threaded;
   // Fault injection / reliable delivery (cx::ft): --ft-drop, --ft-dup,
-  // --ft-delay, --ft-seed, --ft-crash-pe/--ft-crash-at, ...
+  // --ft-delay, --ft-seed, --ft-script crash:2@5e-5, ...
   machine.faults = cx::ft::fault_config_from_options(opt);
   p.ckpt_every =
       static_cast<int>(opt.get_int("ft-checkpoint-every", 0));

@@ -1,6 +1,7 @@
 #include "ft/fault.hpp"
 
-#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/options.hpp"
@@ -19,17 +20,19 @@ const char* failure_kind_name(FailureKind k) noexcept {
   return "unknown";
 }
 
-std::vector<ScriptedFault> FaultConfig::full_script() const {
-  std::vector<ScriptedFault> out;
-  if (crash_pe >= 0) out.push_back({crash_pe, crash_at, FailureKind::Crashed});
-  if (hang_pe >= 0) out.push_back({hang_pe, hang_at, FailureKind::Hung});
-  out.insert(out.end(), script.begin(), script.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ScriptedFault& a, const ScriptedFault& b) {
-                     return a.at < b.at;
-                   });
-  return out;
+namespace {
+
+/// Parse all of `text` as a T; false on an empty string, garbage, or
+/// trailing characters.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [end, ec] = std::from_chars(first, last, out);
+  return ec == std::errc() && end == last && first != last;
 }
+
+}  // namespace
 
 std::vector<ScriptedFault> parse_fault_script(const std::string& spec) {
   std::vector<ScriptedFault> out;
@@ -56,12 +59,16 @@ std::vector<ScriptedFault> parse_fault_script(const std::string& spec) {
       throw std::invalid_argument("--ft-script: unknown fault kind \"" +
                                   kind + "\" (want crash|hang)");
     }
-    try {
-      f.pe = std::stoi(ev.substr(colon + 1, at - colon - 1));
-      f.at = std::stod(ev.substr(at + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--ft-script: bad number in \"" + ev +
-                                  "\"");
+    if (!parse_whole(ev.substr(colon + 1, at - colon - 1), f.pe) ||
+        f.pe < 0) {
+      throw std::invalid_argument(
+          "--ft-script: PE must be an integer >= 0 in \"" + ev + "\"");
+    }
+    if (!parse_whole(ev.substr(at + 1), f.at) || !std::isfinite(f.at) ||
+        f.at < 0.0) {
+      throw std::invalid_argument(
+          "--ft-script: time must be a finite number >= 0 in \"" + ev +
+          "\"");
     }
     out.push_back(f);
   }
@@ -93,10 +100,18 @@ FaultConfig fault_config_from_options(const cxu::Options& opt) {
                                     cfg.hb_threshold);
   cfg.auto_recover = opt.get_bool("ft-auto-recover", cfg.auto_recover);
   cfg.settle_s = opt.get_double("ft-settle-ms", cfg.settle_s * 1e3) * 1e-3;
-  cfg.crash_pe = static_cast<int>(opt.get_int("ft-crash-pe", cfg.crash_pe));
-  cfg.crash_at = opt.get_double("ft-crash-at", cfg.crash_at);
-  cfg.hang_pe = static_cast<int>(opt.get_int("ft-hang-pe", cfg.hang_pe));
-  cfg.hang_at = opt.get_double("ft-hang-at", cfg.hang_at);
+  // Retired one-shot knobs. Options ignores unknown flags, so without
+  // this an old command line would silently run fault-free.
+  for (const char* kind : {"crash", "hang"}) {
+    for (const char* part : {"-pe", "-at"}) {
+      const std::string flag = std::string("ft-") + kind + part;
+      if (opt.has(flag)) {
+        throw std::invalid_argument(
+            "--" + flag + " was removed: use --ft-script " + kind +
+            ":<pe>@<time_s> (e.g. --ft-script " + kind + ":2@5e-5)");
+      }
+    }
+  }
   const std::string script = opt.get_string("ft-script", "");
   if (!script.empty()) cfg.script = parse_fault_script(script);
   return cfg;

@@ -51,9 +51,9 @@ struct PeFailure {
 const char* failure_kind_name(FailureKind k) noexcept;
 
 /// One scripted fault event: at backend time `at`, PE `pe` crashes or
-/// hangs. Unlike the legacy one-shot crash_pe/hang_pe fields, a script
-/// holds any number of events, so a PE revived by restore can be killed
-/// again by a later entry — the shape chaos schedules need.
+/// hangs. A script holds any number of events, so a PE revived by
+/// restore can be killed again by a later entry — the shape chaos
+/// schedules need.
 struct ScriptedFault {
   std::int32_t pe = -1;
   double at = 0.0;
@@ -86,20 +86,16 @@ struct FaultConfig {
   bool auto_recover = false;
   double settle_s = -1.0;  ///< quiesce delay before restore; <0 = backend default
 
-  // Scripted faults. The legacy single-event knobs remain for flag
-  // compatibility; full_script() merges them with `script` into one
-  // time-sorted event list (multi-event, works across revives).
-  int crash_pe = -1;
-  double crash_at = 0.0;  ///< virtual time of the scripted crash
-  int hang_pe = -1;
-  double hang_at = 0.0;  ///< virtual time the PE stops draining
+  // Scripted faults (--ft-script), in any order: SimMachine sorts them
+  // by time, keeping ties in insertion order. Every event's PE must be
+  // in [0, num_pes) — SimMachine rejects the config otherwise.
   std::vector<ScriptedFault> script;
 
   [[nodiscard]] bool injecting() const noexcept {
     return drop > 0.0 || dup > 0.0 || delay > 0.0;
   }
   [[nodiscard]] bool scripted() const noexcept {
-    return crash_pe >= 0 || hang_pe >= 0 || !script.empty();
+    return !script.empty();
   }
   [[nodiscard]] bool liveness() const noexcept { return heartbeat_s > 0.0; }
   /// True when any ft machinery must be active. When false, both
@@ -108,26 +104,25 @@ struct FaultConfig {
   [[nodiscard]] bool enabled() const noexcept {
     return injecting() || reliable || scripted() || liveness();
   }
-
-  /// All scripted events (legacy crash_pe/hang_pe plus `script`),
-  /// sorted by time with ties kept in insertion order.
-  [[nodiscard]] std::vector<ScriptedFault> full_script() const;
 };
 
 /// Parse the --ft-* flag family (see README "Fault injection &
 /// checkpointing" / "Self-healing"): --ft-seed, --ft-drop, --ft-dup,
 /// --ft-delay, --ft-delay-ms, --ft-reliable, --ft-rto-ms, --ft-backoff,
-/// --ft-jitter, --ft-retries, --ft-crash-pe, --ft-crash-at,
-/// --ft-hang-pe, --ft-hang-at, --ft-script, --ft-heartbeat-ms,
+/// --ft-jitter, --ft-retries, --ft-script, --ft-heartbeat-ms,
 /// --ft-heartbeat-threshold, --ft-auto-recover, --ft-settle-ms.
 /// Probabilities are validated via Options::get_prob (throw outside
 /// [0,1]); injection implies reliable delivery unless --ft-reliable=0.
+/// The retired one-shot flags (--ft-crash-pe/--ft-crash-at,
+/// --ft-hang-pe/--ft-hang-at) throw std::invalid_argument naming their
+/// --ft-script form, so an old command line never runs fault-free.
 FaultConfig fault_config_from_options(const cxu::Options& opt);
 
 /// Parse a fault script string: comma-separated events of the form
 /// "crash:<pe>@<time_s>" / "hang:<pe>@<time_s>", e.g.
 /// "crash:2@5e-5,hang:1@9e-5". Throws std::invalid_argument on
-/// malformed input.
+/// malformed input: an unknown kind, trailing characters after a number,
+/// a negative PE, or a negative or non-finite time.
 std::vector<ScriptedFault> parse_fault_script(const std::string& spec);
 
 /// Per-message injection decisions, drawn from one seeded stream. The

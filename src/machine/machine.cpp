@@ -6,7 +6,6 @@
 
 #include "machine/sim_machine.hpp"
 #include "machine/socket_machine.hpp"
-#include "machine/threaded_machine.hpp"
 
 namespace cxm {
 
@@ -27,16 +26,13 @@ long env_long(const char* name) {
   return x;
 }
 
-}  // namespace
-
+/// True when this process was launched by cxrun (CXRUN_RANK et al. are
+/// set) and should join a multi-process job.
 bool socket_env_active() { return std::getenv("CXRUN_RANK") != nullptr; }
 
-int launched_rank() {
-  const char* v = std::getenv("CXRUN_RANK");
-  return v != nullptr ? static_cast<int>(std::strtol(v, nullptr, 10)) : 0;
-}
-
-void apply_socket_env(MachineConfig& cfg) {
+/// The job geometry from the CXRUN_* environment. Throws if it is
+/// malformed.
+SocketParams socket_env() {
   SocketParams p;
   p.rank = static_cast<int>(env_long("CXRUN_RANK"));
   p.nranks = static_cast<int>(env_long("CXRUN_NRANKS"));
@@ -59,29 +55,30 @@ void apply_socket_env(MachineConfig& cfg) {
                                 std::to_string(p.nranks) + ", ppn " +
                                 std::to_string(p.ppn) + ")");
   }
-  cfg.socket = p;
-  cfg.backend = Backend::Socket;
+  return p;
+}
+
+}  // namespace
+
+int launched_rank() {
+  const char* v = std::getenv("CXRUN_RANK");
+  return v != nullptr ? static_cast<int>(std::strtol(v, nullptr, 10)) : 0;
 }
 
 std::unique_ptr<Machine> make_machine(const MachineConfig& cfg) {
+  // Explicit Sim runs stay simulated, even under cxrun.
+  if (cfg.backend == Backend::Sim) return std::make_unique<SimMachine>(cfg);
   MachineConfig effective = cfg;
-  // Under cxrun, a default (Threaded) request joins the socket job so
-  // unmodified examples work; explicit Sim runs stay simulated.
-  if (effective.backend == Backend::Threaded && socket_env_active()) {
-    apply_socket_env(effective);
+  if (socket_env_active()) {
+    // Under cxrun a Threaded request joins the multi-process job so
+    // unmodified examples work.
+    effective.socket = socket_env();
+  } else {
+    // A threaded run is a one-rank job: every PE local, no rank bridge.
+    effective.socket = SocketParams{};
+    effective.socket.ppn = cfg.num_pes;
   }
-  switch (effective.backend) {
-    case Backend::Threaded:
-      return std::make_unique<ThreadedMachine>(effective);
-    case Backend::Sim:
-      return std::make_unique<SimMachine>(effective);
-    case Backend::Socket:
-      if (effective.socket.root_port == 0) {
-        apply_socket_env(effective);  // Socket requested directly: need env
-      }
-      return std::make_unique<SocketMachine>(effective);
-  }
-  return nullptr;
+  return std::make_unique<SocketMachine>(effective);
 }
 
 }  // namespace cxm

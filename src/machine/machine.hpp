@@ -4,22 +4,20 @@
 // A Machine owns a set of PEs (processing elements), a handler table, and
 // the transport between PEs. Two implementations exist:
 //
-//   * ThreadedMachine — one std::thread per PE, real wall clock. Used by
-//     tests, examples and host-scale benchmarks: real concurrency, real
-//     message passing through per-PE mailboxes.
+//   * SocketMachine (Backend::Threaded) — the PE-thread machine: one
+//     std::thread per PE, per-PE mailboxes, real wall clock. Used by
+//     tests, examples and host-scale benchmarks. A plain run is one OS
+//     process hosting every PE; launched by `cxrun` (the CXRUN_*
+//     environment is set), the same machine becomes one rank of an
+//     N-process job, with a nonblocking-TCP/epoll comm thread bridging
+//     ranks via length-prefixed cx::wire envelopes (src/net/).
 //
-//   * SimMachine — a deterministic discrete-event simulator: virtual PEs,
-//     per-PE virtual clocks and a NetworkModel. Entry methods execute real
-//     code; time is charged via compute()/charge-scopes and the network
-//     model. This is the BigSim-style backend used to regenerate the
-//     paper's supercomputer-scale figures (1k-65k PEs) on a workstation.
-//
-//   * SocketMachine — N OS processes (ranks), each hosting `ppn` worker
-//     PEs plus one nonblocking-TCP/epoll comm thread. Cross-process
-//     messages travel as length-prefixed cx::wire envelopes (src/net/);
-//     within a rank, PEs share the threaded backend's mailbox fast
-//     path. Launched by `cxrun` (or any parent that sets the CXRUN_*
-//     environment — see socket_env_active()).
+//   * SimMachine (Backend::Sim) — a deterministic discrete-event
+//     simulator: virtual PEs, per-PE virtual clocks and a NetworkModel.
+//     Entry methods execute real code; time is charged via
+//     compute()/charge-scopes and the network model. This is the
+//     BigSim-style backend used to regenerate the paper's
+//     supercomputer-scale figures (1k-65k PEs) on a workstation.
 //
 // The runtime registers handlers once (before run()) and then communicates
 // exclusively through send(). All handler execution happens on the
@@ -38,11 +36,12 @@ namespace cxm {
 
 using Handler = std::function<void(MessagePtr)>;
 
-enum class Backend { Threaded, Sim, Socket };
+enum class Backend { Threaded, Sim };
 
-/// Multi-process launch geometry (Backend::Socket). Filled from the
-/// CXRUN_* environment by apply_socket_env(); the launcher (`cxrun`)
-/// runs the root rendezvous the ranks wire up through.
+/// PE-thread machine geometry, filled by make_machine(): one rank of
+/// num_pes PEs for a plain threaded run, or the CXRUN_* environment
+/// under `cxrun`, whose launcher runs the root rendezvous the ranks
+/// wire up through.
 struct SocketParams {
   int rank = 0;
   int nranks = 1;
@@ -54,9 +53,9 @@ struct SocketParams {
 struct MachineConfig {
   int num_pes = 4;
   Backend backend = Backend::Threaded;
-  /// Socket-backend geometry. Under cxrun the global PE count is
-  /// nranks * ppn (num_pes above is ignored — the launcher owns the
-  /// job shape).
+  /// Rank geometry, derived by make_machine() (caller values are
+  /// overwritten). Under cxrun the global PE count is nranks * ppn
+  /// (num_pes above is ignored — the launcher owns the job shape).
   SocketParams socket{};
   /// Simulated network (ignored by the threaded backend):
   std::string network = "simple";  ///< "simple" | "torus" | "dragonfly"
@@ -109,8 +108,8 @@ class Machine {
   /// True when the machine uses virtual time (SimMachine).
   [[nodiscard]] virtual bool is_simulated() const noexcept = 0;
 
-  // ---- multi-process locality (SocketMachine) ----------------------------
-  // Single-process backends host every PE in rank 0 of 1.
+  // ---- multi-process locality --------------------------------------------
+  // Single-process runs host every PE in rank 0 of 1.
 
   /// This process's rank in the job.
   [[nodiscard]] virtual int my_rank() const noexcept { return 0; }
@@ -173,18 +172,13 @@ class Machine {
   FailureListener failure_listener_;
 };
 
-/// Create a machine from a config. When the CXRUN_* environment is set
-/// (the process was launched by cxrun) a Threaded request is upgraded
-/// to the Socket backend — Sim runs are never upgraded.
+/// Create a machine from a config. A Threaded request runs num_pes PE
+/// threads in this process (rank 0 of 1; throws std::invalid_argument
+/// when num_pes < 1). When the CXRUN_* environment is set (the process
+/// was launched by cxrun) it joins the multi-process job instead, with
+/// the launcher's geometry; throws if that environment is malformed.
+/// Sim runs are never upgraded.
 std::unique_ptr<Machine> make_machine(const MachineConfig& cfg);
-
-/// True when this process was launched by cxrun (CXRUN_RANK et al. are
-/// set) and should join a multi-process socket job.
-bool socket_env_active();
-
-/// Fill cfg.socket from the CXRUN_* environment and select
-/// Backend::Socket. Throws if the environment is malformed.
-void apply_socket_env(MachineConfig& cfg);
 
 /// The rank cxrun assigned this process, or 0 when not under cxrun.
 /// Usable before any Machine exists — examples gate their result

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "trace/trace.hpp"
 #include "util/log.hpp"
@@ -34,7 +35,17 @@ SimMachine::SimMachine(const MachineConfig& cfg)
   ft_enabled_ = ft_.enabled();
   if (ft_enabled_) {
     inj_ = std::make_unique<cx::ft::FaultInjector>(ft_);
-    script_ = ft_.full_script();
+    script_ = ft_.script;
+    for (const cx::ft::ScriptedFault& f : script_) {
+      if (f.pe < 0 || f.pe >= num_pes_) {
+        throw std::invalid_argument("fault script names PE " +
+                                    std::to_string(f.pe) + " of a " +
+                                    std::to_string(num_pes_) + "-PE run");
+      }
+    }
+    std::stable_sort(script_.begin(), script_.end(),
+                     [](const cx::ft::ScriptedFault& a,
+                        const cx::ft::ScriptedFault& b) { return a.at < b.at; });
   }
   // Failure bookkeeping is always sized: inject_kill() must work even
   // without any --ft-* config (e.g. the pool kills a worker directly).
@@ -225,7 +236,6 @@ void SimMachine::fail_pe(int pe, cx::ft::FailureKind kind, double time) {
 void SimMachine::check_scripted(double time) {
   while (next_script_ < script_.size() && time >= script_[next_script_].at) {
     const cx::ft::ScriptedFault& f = script_[next_script_++];
-    if (f.pe < 0 || f.pe >= num_pes_) continue;
     const auto i = static_cast<std::size_t>(f.pe);
     if (crashed_[i] != 0 || hung_[i] != 0) continue;  // already down
     any_failed_ = true;

@@ -128,8 +128,8 @@ class SimMachine final : public Machine {
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> hung_;
   std::vector<std::uint8_t> unreachable_;
-  /// Merged, time-sorted fault script (legacy --ft-crash-pe/--ft-hang-pe
-  /// plus --ft-script). The cursor only moves forward: a fired event
+  /// The fault script (--ft-script), sorted by time with ties in
+  /// insertion order; every PE validated at construction. The cursor only moves forward: a fired event
   /// never refires, so a revived PE is not instantly re-killed, yet
   /// later script entries can hit the same PE again across revives.
   std::vector<cx::ft::ScriptedFault> script_;

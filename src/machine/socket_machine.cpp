@@ -20,8 +20,8 @@ namespace cxm {
 namespace {
 thread_local int t_current_pe = -1;
 
-// FtDrop trace reasons (slot a) — shared vocabulary with the threaded
-// backend's trace stream.
+// FtDrop trace reasons (slot a) — shared vocabulary with SimMachine's
+// trace stream.
 constexpr std::uint64_t kDropInjected = 0;
 constexpr std::uint64_t kDropDuplicate = 1;
 constexpr std::uint64_t kDropDeadDst = 2;
@@ -30,13 +30,25 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// How long the comm thread keeps flushing after the PE loops exit —
 /// long enough for the Stop broadcast and tail acks to reach peers.
 constexpr double kDrainGrace = 3.0;
+
+/// The global PE count of a valid geometry; throws before any per-PE
+/// state is sized from a bad one (e.g. a threaded run with num_pes < 1).
+int checked_num_pes(const SocketParams& g) {
+  if (g.nranks < 1 || g.ppn < 1 || g.rank < 0 || g.rank >= g.nranks) {
+    throw std::invalid_argument(
+        "bad PE geometry: need num_pes (ppn) >= 1 and 0 <= rank < nranks, "
+        "got rank " + std::to_string(g.rank) + " of " +
+        std::to_string(g.nranks) + ", ppn " + std::to_string(g.ppn));
+  }
+  return g.nranks * g.ppn;
+}
 }  // namespace
 
 SocketMachine::SocketMachine(const MachineConfig& cfg)
     : rank_(cfg.socket.rank),
       nranks_(cfg.socket.nranks),
       ppn_(cfg.socket.ppn),
-      num_pes_(cfg.socket.nranks * cfg.socket.ppn),
+      num_pes_(checked_num_pes(cfg.socket)),
       pe_base_(cfg.socket.rank * cfg.socket.ppn),
       ft_(cfg.faults),
       crashed_(static_cast<std::size_t>(num_pes_)),
@@ -44,9 +56,6 @@ SocketMachine::SocketMachine(const MachineConfig& cfg)
       hung_(static_cast<std::size_t>(num_pes_)),
       failure_notified_(static_cast<std::size_t>(num_pes_), 0),
       peers_(static_cast<std::size_t>(nranks_)) {
-  if (nranks_ < 1 || ppn_ < 1 || rank_ < 0 || rank_ >= nranks_) {
-    throw std::invalid_argument("SocketMachine: bad geometry");
-  }
   mailboxes_.reserve(static_cast<std::size_t>(ppn_));
   for (int i = 0; i < ppn_; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -65,31 +74,27 @@ SocketMachine::SocketMachine(const MachineConfig& cfg)
     }
   }
 
+  // A plain threaded run: every PE is local and nobody to wire up with.
+  if (nranks_ == 1 && cfg.socket.root_port == 0) return;
+
   // ---- wireup: rendezvous with the root, then the rank mesh -------------
   cxnet::Handshake hs;
   hs.rank = static_cast<std::uint32_t>(rank_);
   hs.nranks = static_cast<std::uint32_t>(nranks_);
   hs.ppn = static_cast<std::uint32_t>(ppn_);
-
-  if (nranks_ > 1) {
-    cxnet::Fd listener = cxnet::tcp_listen(0);
-    const std::uint16_t data_port = cxnet::local_port(listener.get());
-    const std::vector<cxnet::Endpoint> table = cxnet::client_rendezvous(
-        cfg.socket.root_host, cfg.socket.root_port, hs, data_port);
-    std::vector<cxnet::Fd> fds =
-        cxnet::mesh_wireup(hs, listener.get(), table);
-    for (int r = 0; r < nranks_; ++r) {
-      if (r == rank_) continue;
-      cxnet::set_nonblocking(fds[static_cast<std::size_t>(r)].get());
-      peers_[static_cast<std::size_t>(r)].fd =
-          std::move(fds[static_cast<std::size_t>(r)]);
-    }
-  } else if (cfg.socket.root_port != 0) {
-    // Single-rank job: still check in with the root so cxrun -np 1 gets
-    // its rendezvous accounting (and handshake validation).
-    cxnet::Fd listener = cxnet::tcp_listen(0);
-    (void)cxnet::client_rendezvous(cfg.socket.root_host, cfg.socket.root_port,
-                                   hs, cxnet::local_port(listener.get()));
+  cxnet::Fd listener = cxnet::tcp_listen(0);
+  const std::vector<cxnet::Endpoint> table =
+      cxnet::client_rendezvous(cfg.socket.root_host, cfg.socket.root_port, hs,
+                               cxnet::local_port(listener.get()));
+  // Single-rank job (cxrun -np 1): checking in with the root gives it its
+  // rendezvous accounting (and handshake validation); no rank bridge.
+  if (nranks_ == 1) return;
+  std::vector<cxnet::Fd> fds = cxnet::mesh_wireup(hs, listener.get(), table);
+  for (int r = 0; r < nranks_; ++r) {
+    if (r == rank_) continue;
+    cxnet::set_nonblocking(fds[static_cast<std::size_t>(r)].get());
+    peers_[static_cast<std::size_t>(r)].fd =
+        std::move(fds[static_cast<std::size_t>(r)]);
   }
 
   int pipefd[2];
@@ -110,9 +115,7 @@ SocketMachine::SocketMachine(const MachineConfig& cfg)
   ev.data.fd = wake_r_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_r_, &ev);
   for (int r = 0; r < nranks_; ++r) {
-    if (r == rank_ || !peers_[static_cast<std::size_t>(r)].fd.valid()) {
-      continue;
-    }
+    if (r == rank_) continue;
     ev.events = EPOLLIN;
     ev.data.fd = peers_[static_cast<std::size_t>(r)].fd.get();
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, ev.data.fd, &ev);
@@ -138,11 +141,13 @@ double SocketMachine::now() const { return cxu::wall_time() - epoch_; }
 void SocketMachine::compute(double seconds) {
   const double end = cxu::wall_time() + seconds;
   while (cxu::wall_time() < end) {
-    // busy spin, same load model as the threaded backend
+    // busy spin: models synthetic compute load on a real core
   }
 }
 
-void SocketMachine::charge(double) {}
+void SocketMachine::charge(double) {
+  // Real work already consumed real time; nothing to do.
+}
 
 void SocketMachine::enqueue(int dst, MessagePtr msg) {
   Mailbox& mb = *mailboxes_[lidx(dst)];
@@ -159,7 +164,7 @@ void SocketMachine::enqueue_delayed(int dst, MessagePtr msg, double deadline) {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.delayed.emplace(deadline, std::move(msg));
   }
-  mb.cv.notify_one();
+  mb.cv.notify_one();  // the PE re-bounds its wait by the new deadline
 }
 
 cx::wire::PeAggregator& SocketMachine::agg(int pe) {
@@ -205,10 +210,14 @@ void SocketMachine::send(MessagePtr msg) {
     if (cx::wire::agg_eligible(*msg, a.config())) {
       CX_TRACE_EVENT(src, now(), cx::trace::EventKind::MsgSend,
                      static_cast<std::uint64_t>(dst), msg->wire_size());
+      // No flush timers here: pe_loop's idle hook seals open batches
+      // before the scheduler ever sleeps, so the arm flag is unused.
       (void)a.absorb(std::move(msg));
       drain_agg(src);
       return;
     }
+    // Bypassing message headed to a destination with an open batch:
+    // seal the batch first so it stays ahead in the mailbox.
     if ((msg->wire_flags & kWireAggBatch) == 0 && dst != src &&
         msg->local == nullptr && a.dst_pending(dst)) {
       a.flush_dst(dst, cx::wire::AggFlush::Ordering);
@@ -235,7 +244,7 @@ void SocketMachine::send(MessagePtr msg) {
       p.data = msg->data;
       p.size_override = msg->size_override;
       p.seq = seq;
-      p.wire_flags = msg->wire_flags;
+      p.wire_flags = msg->wire_flags;  // a resent batch is still a batch
       {
         std::lock_guard<std::mutex> lk(inj_mutex_);
         p.deadline = now() + inj_->retry_timeout(0);
@@ -253,7 +262,7 @@ void SocketMachine::send(MessagePtr msg) {
       if (d.drop) {
         CX_TRACE_EVENT(src, now(), cx::trace::EventKind::FtDrop,
                        kDropInjected, msg->ft_seq);
-        return;
+        return;  // lost on the wire; the pending copy recovers it
       }
       if (d.dup) deliver(std::make_unique<Message>(*msg));
       if (d.extra_delay > 0.0 && is_local(dst)) {
@@ -277,13 +286,23 @@ void SocketMachine::send_after(MessagePtr msg, double delay_s) {
     throw std::logic_error("send_after: destination PE is remote");
   }
   msg->src_pe = t_current_pe;
+  // A timer delivery, not a network message: no trace, no injection.
   enqueue_delayed(dst, std::move(msg), now() + delay_s);
 }
 
 // ---------------------------------------------------------------------------
 // Failure control. State changes initiated locally broadcast a control
-// frame so every rank's view converges; frames received from peers
-// apply locally without rebroadcast.
+// frame so every rank's view converges (a no-op in a one-rank job);
+// frames received from peers apply locally without rebroadcast.
+
+void SocketMachine::rouse(int pe) {
+  if (!is_local(pe)) return;
+  Mailbox& mb = *mailboxes_[lidx(pe)];
+  {
+    std::lock_guard<std::mutex> lock(mb.mutex);
+  }
+  mb.cv.notify_all();
+}
 
 void SocketMachine::notify_failure_once(int pe, cx::ft::FailureKind kind) {
   {
@@ -307,13 +326,7 @@ void SocketMachine::apply_kill(int pe) {
     return;
   }
   any_failed_.store(true, std::memory_order_release);
-  if (is_local(pe)) {
-    Mailbox& mb = *mailboxes_[lidx(pe)];
-    {
-      std::lock_guard<std::mutex> lock(mb.mutex);
-    }
-    mb.cv.notify_all();
-  }
+  rouse(pe);  // so it starts discarding its backlog promptly
   notify_failure_once(pe, cx::ft::FailureKind::Crashed);
 }
 
@@ -322,20 +335,18 @@ void SocketMachine::apply_hang(int pe) {
   const auto i = static_cast<std::size_t>(pe);
   if (hung_[i].exchange(true, std::memory_order_relaxed)) return;
   any_failed_.store(true, std::memory_order_release);
-  if (is_local(pe)) {
-    Mailbox& mb = *mailboxes_[lidx(pe)];
-    {
-      std::lock_guard<std::mutex> lock(mb.mutex);
-    }
-    mb.cv.notify_all();
-  }
-  // Silent by design: discovery is the liveness layer's job.
+  rouse(pe);  // so it parks promptly
+  // Silent by design: peers must discover the hang themselves
+  // (retransmit give-up or heartbeats).
 }
 
 void SocketMachine::apply_revive(int pe) {
   if (pe < 0 || pe >= num_pes_) return;
   const auto i = static_cast<std::size_t>(pe);
   if (is_local(pe)) {
+    // Discard everything the PE accumulated while down (a hung PE's
+    // mailbox kept filling): restore rebuilds application state, so
+    // pre-failure messages must not resurface in the revived PE.
     Mailbox& mb = *mailboxes_[lidx(pe)];
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.queue.clear();
@@ -378,15 +389,11 @@ void SocketMachine::declare_failed(int pe, cx::ft::FailureKind kind) {
   if (kind == cx::ft::FailureKind::Crashed) {
     crashed_[i].store(true, std::memory_order_relaxed);
   } else if (!hung_[i].load(std::memory_order_relaxed)) {
+    // Declared dead on external evidence (heartbeat silence) without a
+    // local hang flag: mark unreachable so all traffic to it stops.
     unreachable_[i].store(true, std::memory_order_relaxed);
   }
-  if (is_local(pe)) {
-    Mailbox& mb = *mailboxes_[lidx(pe)];
-    {
-      std::lock_guard<std::mutex> lock(mb.mutex);
-    }
-    mb.cv.notify_all();
-  }
+  rouse(pe);
   notify_failure_once(pe, kind);
 }
 
@@ -410,7 +417,8 @@ void SocketMachine::request_stop(bool broadcast) {
 }
 
 // ---------------------------------------------------------------------------
-// Comm thread: one epoll loop over the peer sockets + the wake pipe.
+// Comm thread (multi-rank jobs only): one epoll loop over the peer
+// sockets + the wake pipe.
 
 void SocketMachine::ship(int rank, std::vector<std::byte> frame) {
   {
@@ -628,10 +636,13 @@ void SocketMachine::comm_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler loops (mirrors ThreadedMachine::pe_loop, with global-PE
-// failure flags and the remote path handled by send()/deliver()).
+// Scheduler loops: one per local PE. Failure flags are indexed by global
+// PE; the remote path is handled by send()/deliver().
 
 void SocketMachine::retransmit_due(int pe, FtPeState& me) {
+  // Heap-driven: pop due deadlines off the sender's min-heap instead of
+  // scanning every pending send. Stale heap entries (acked, abandoned,
+  // or superseded by a later retransmit) are pruned lazily.
   const double tnow = now();
   for (;;) {
     me.sw.prune_due();
@@ -640,14 +651,15 @@ void SocketMachine::retransmit_due(int pe, FtPeState& me) {
     const auto di = static_cast<std::size_t>(e.dst);
     if (crashed_[di].load(std::memory_order_relaxed) ||
         unreachable_[di].load(std::memory_order_relaxed)) {
+      // Known-dead peer: retrying only generates noise.
       me.sw.due.pop();
       me.sw.abandon(e.dst);
       continue;
     }
-    if (e.deadline > tnow) return;
+    if (e.deadline > tnow) return;  // nothing (valid) due yet
     me.sw.due.pop();
     auto it = me.sw.pending.find({e.dst, e.seq});
-    if (it == me.sw.pending.end()) continue;
+    if (it == me.sw.pending.end()) continue;  // raced away; harmless
     cx::ft::PendingSend& p = it->second;
     if (p.attempts >= ft_.retry.max_attempts) {
       unreachable_[di].store(true, std::memory_order_relaxed);
@@ -670,7 +682,7 @@ void SocketMachine::retransmit_due(int pe, FtPeState& me) {
     copy->ft_seq = p.seq;
     copy->ft_flags = kFtReliable | kFtRetransmit;
     copy->wire_flags = p.wire_flags;
-    send(std::move(copy));
+    send(std::move(copy));  // flags are set: no re-enrollment in send()
   }
 }
 
@@ -679,7 +691,7 @@ void SocketMachine::run() {
   stop_.store(false, std::memory_order_relaxed);
   comm_stop_.store(false, std::memory_order_relaxed);
   epoch_ = cxu::wall_time();
-  comm_thread_ = std::thread([this] { comm_loop(); });
+  if (nranks_ > 1) comm_thread_ = std::thread([this] { comm_loop(); });
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(ppn_));
   for (int i = 0; i < ppn_; ++i) {
@@ -687,9 +699,11 @@ void SocketMachine::run() {
     threads.emplace_back([this, pe] { pe_loop(pe); });
   }
   for (auto& t : threads) t.join();
-  comm_stop_.store(true, std::memory_order_release);
-  wake_comm();
-  comm_thread_.join();
+  if (comm_thread_.joinable()) {
+    comm_stop_.store(true, std::memory_order_release);
+    wake_comm();
+    comm_thread_.join();
+  }
   running_ = false;
 }
 
@@ -710,6 +724,10 @@ void SocketMachine::pe_loop(int pe) {
         if (any_failed_.load(std::memory_order_relaxed) &&
             hung_[static_cast<std::size_t>(pe)].load(
                 std::memory_order_relaxed)) {
+          // A hung PE parks: it drains nothing, acks nothing, fires no
+          // retransmits — total silence until revive_pe() or stop().
+          // Its unacked sends and open batches die with it (own-thread
+          // state, so only the owner may clear them).
           if (me && !me->sw.pending.empty()) {
             me->sw.pending.clear();
             while (!me->sw.due.empty()) me->sw.due.pop();
@@ -725,6 +743,7 @@ void SocketMachine::pe_loop(int pe) {
           continue;
         }
         const double tnow = now();
+        // Promote deferred deliveries that have come due.
         while (!mb.delayed.empty() && mb.delayed.begin()->first <= tnow) {
           mb.queue.push_back(std::move(mb.delayed.begin()->second));
           mb.delayed.erase(mb.delayed.begin());
@@ -735,12 +754,17 @@ void SocketMachine::pe_loop(int pe) {
           break;
         }
         if (agg_on_ && agg_pending(pe)) {
+          // Idle hook: out of work with open batches — seal and send
+          // them (outside the mailbox lock) before going to sleep.
           flush_idle = true;
           break;
         }
+        // The scheduler is about to sleep: bound the wait by the next
+        // deferred delivery and (with ft on) the next retransmit
+        // deadline of our own unacked sends.
         double dl = mb.delayed.empty() ? kNever : mb.delayed.begin()->first;
         if (me) dl = std::min(dl, me->sw.next_deadline());
-        if (dl <= tnow) break;
+        if (dl <= tnow) break;  // a retransmit is due; handle below
         const double t0 = cxu::wall_time();
         if (dl >= kNever) {
           mb.cv.wait(lock);
@@ -766,17 +790,21 @@ void SocketMachine::pe_loop(int pe) {
         if (any_failed_.load(std::memory_order_relaxed) &&
             crashed_[static_cast<std::size_t>(pe)].load(
                 std::memory_order_relaxed)) {
+          // A crashed PE's unsent batches die with it (like its
+          // mailbox backlog) — drop them instead of spinning.
           aggs_[lidx(pe)].reset();
         } else {
           agg(pe).flush_all(cx::wire::AggFlush::Idle);
           drain_agg(pe);
         }
       }
-      continue;
+      continue;  // woke only to flush batches / service retransmits
     }
     if (any_failed_.load(std::memory_order_relaxed) &&
         crashed_[static_cast<std::size_t>(pe)].load(
             std::memory_order_relaxed)) {
+      // A crashed PE drains its mailbox but processes — and acks —
+      // nothing, so peers see it as dead.
       CX_TRACE_EVENT(pe, now(), cx::trace::EventKind::FtDrop, kDropDeadDst,
                      msg->ft_seq);
       continue;
@@ -787,6 +815,8 @@ void SocketMachine::pe_loop(int pe) {
         continue;
       }
       if (msg->ft_flags & kFtReliable) {
+        // Always ack — even duplicates, since the original ack may have
+        // been lost on the wire.
         auto ack = std::make_unique<Message>();
         ack->dst_pe = msg->src_pe;
         ack->ft_seq = msg->ft_seq;
@@ -803,6 +833,7 @@ void SocketMachine::pe_loop(int pe) {
       }
     }
     if (agg_on_ && (msg->wire_flags & kWireAggBatch) != 0) {
+      // Unpack the batch into the normal delivery path, in append order.
       const auto src64 = static_cast<std::uint64_t>(
           static_cast<std::uint32_t>(msg->src_pe));
       const bool ok = cx::wire::for_each_agg_record(
@@ -835,7 +866,11 @@ void SocketMachine::pe_loop(int pe) {
                    static_cast<std::uint32_t>(msg->src_pe),
                    msg->wire_size());
     handlers_[h](std::move(msg));
-    if (stop_.load(std::memory_order_acquire)) break;
+    if (stop_.load(std::memory_order_acquire)) {
+      // Finish promptly on stop; remaining queued messages are dropped by
+      // design (mirrors charm.exit() semantics).
+      break;
+    }
   }
   t_current_pe = -1;
   cxu::set_log_pe(-1);

@@ -1,32 +1,43 @@
 #pragma once
-// SocketMachine — N OS processes (ranks) bridged by nonblocking TCP.
+// SocketMachine — the PE-thread machine: one OS thread per local PE,
+// per-PE MPSC mailbox, wall clock, plus an optional TCP rank bridge.
 //
-// Each rank hosts `ppn` worker PEs (global PE p lives on rank p/ppn)
-// plus one comm thread running an epoll loop over one connection per
-// peer rank. Within a rank, PEs talk through the same MPSC mailboxes
-// as the threaded backend — including the by-reference `local` payload
+// A job is `nranks` OS processes (ranks), each hosting `ppn` PEs (global
+// PE p lives on rank p/ppn). A plain threaded run is the one-rank case
+// {rank 0, nranks 1, ppn = num_pes}: every PE is local, and the machine
+// creates no comm thread, wake pipe or epoll fd — just the PE threads.
+//
+// With nranks > 1 (launched by cxrun), one comm thread per rank runs an
+// epoll loop over one connection per peer rank. Within a rank, PEs talk
+// through the mailboxes — including the by-reference `local` payload
 // fast path, which never crosses a socket. Cross-rank messages are the
 // cx::wire envelope verbatim behind a u32 length prefix (src/net/
 // frame.hpp); connections open with a version/endianness/ABI handshake
 // so a mismatched peer is rejected with a clear error instead of
 // silently corrupting native-endian payloads.
 //
-// Fault tolerance reuses cx::ft unchanged: reliable sends enroll in the
-// sender PE's seq/ack/retransmit window exactly as on the threaded
-// backend (the ft header rides in the frame), and a broken or EOF'd
-// connection marks every PE of that rank crashed and feeds the same
-// failure-listener pipeline heartbeat detection uses — so a kill -9'd
-// worker process is detected and declared without new protocol.
+// Fault tolerance (cx::ft): with MachineConfig::faults enabled, cross-PE
+// sends pass through a seeded injector (drop/duplicate/delay) and the
+// seq+ack reliable-delivery protocol. Sender-side windows and receiver
+// dedup state are owned by each PE's thread (sends run on the sender's
+// thread; acks are routed back to the sender's mailbox), so the protocol
+// needs no extra locks — only the shared injector takes a mutex, and
+// only when injection is configured. Retransmit deadlines and delayed
+// deliveries are honored by bounding the mailbox cv wait. Scripted
+// crash/hang at a virtual time is a SimMachine feature; here PEs die via
+// Machine::inject_kill (a crashed PE keeps draining its mailbox but
+// discards — and never acks — everything). The ft header rides in the
+// frame, and a broken or EOF'd connection marks every PE of that rank
+// crashed and feeds the same failure-listener pipeline heartbeat
+// detection uses — so a kill -9'd worker process is detected and
+// declared without new protocol. An injected extra delay is only
+// honored for rank-local destinations (TCP supplies real latency, and
+// delaying inside the comm thread would stall unrelated traffic).
 //
 // Wireup: the launcher (cxrun, or a test harness) listens as the
 // rendezvous root; every rank connects, sends its handshake + data
 // port, and receives the rank->endpoint table, then the ranks build a
 // full mesh (connect to lower ranks, accept from higher ones).
-//
-// Injection semantics vs the threaded backend: drop and duplicate work
-// for cross-rank sends; an injected extra delay is only honored for
-// rank-local destinations (TCP supplies real latency, and delaying
-// inside the comm thread would stall unrelated traffic).
 
 #include <atomic>
 #include <condition_variable>
@@ -79,6 +90,8 @@ class SocketMachine final : public Machine {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<MessagePtr> queue;
+    /// Deferred deliveries (send_after, injected delays), keyed by the
+    /// absolute machine-time deadline; promoted into `queue` when due.
     std::multimap<double, MessagePtr> delayed;
   };
 
@@ -117,8 +130,10 @@ class SocketMachine final : public Machine {
   void apply_kill(int pe);
   void apply_hang(int pe);
   void apply_revive(int pe);
+  /// Wake local PE `pe` so it re-reads its failure flags promptly.
+  void rouse(int pe);
 
-  // ---- comm thread --------------------------------------------------------
+  // ---- comm thread (nranks > 1 only) -------------------------------------
   void comm_loop();
   void ship(int rank, std::vector<std::byte> frame);
   void wake_comm();
@@ -131,6 +146,10 @@ class SocketMachine final : public Machine {
   [[nodiscard]] bool all_out_drained();
 
   // ---- sender-side aggregation (--wire-agg), local PEs only --------------
+  // Each PE's aggregator is touched only by its own scheduler thread
+  // (sends run on the sender's thread), so no locks are needed. The idle
+  // hook lives in pe_loop: a PE never sleeps on its mailbox while it
+  // still holds open batches.
   [[nodiscard]] cx::wire::PeAggregator& agg(int pe);
   [[nodiscard]] bool agg_pending(int pe) const noexcept;
   void drain_agg(int pe);
@@ -143,7 +162,7 @@ class SocketMachine final : public Machine {
 
   std::vector<Handler> handlers_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  ///< local PEs (ppn)
-  bool agg_on_ = false;
+  bool agg_on_ = false;  ///< sampled from cx::wire::agg_enabled() at ctor
   cx::wire::AggConfig agg_cfg_;
   std::vector<std::unique_ptr<cx::wire::PeAggregator>> aggs_;  ///< local
   std::atomic<bool> stop_{false};
@@ -153,16 +172,20 @@ class SocketMachine final : public Machine {
   cx::ft::FaultConfig ft_;
   bool ft_enabled_ = false;
   std::unique_ptr<cx::ft::FaultInjector> inj_;
-  std::mutex inj_mutex_;
+  std::mutex inj_mutex_;  ///< injector draws come from many PE threads
   std::vector<std::unique_ptr<FtPeState>> ft_pes_;  ///< local PEs
   // Liveness flags cover every GLOBAL PE: remote failures must stop
-  // local traffic (retransmit abandon) exactly like local ones.
+  // local traffic (retransmit abandon) exactly like local ones. They are
+  // always allocated: inject_kill() must work even without any --ft-*
+  // config (e.g. pool tests kill a worker directly).
   std::atomic<bool> any_failed_{false};
   std::vector<std::atomic<bool>> crashed_;
   std::vector<std::atomic<bool>> unreachable_;
+  /// A hung PE parks: unlike a crashed PE it does not even drain its
+  /// mailbox, so peers see total silence (no acks, no heartbeats).
   std::vector<std::atomic<bool>> hung_;
   std::mutex failure_mutex_;
-  std::vector<std::uint8_t> failure_notified_;
+  std::vector<std::uint8_t> failure_notified_;  ///< guarded by failure_mutex_
 
   std::vector<Peer> peers_;  ///< indexed by rank; self entry unused
   std::mutex out_mutex_;

@@ -12,8 +12,9 @@
 // histograms).
 //
 // Timestamps come from the machine backend that records them: wall clock
-// on ThreadedMachine, virtual clock on SimMachine — so DES figure runs
-// are traceable with the same pipeline.
+// on the PE-thread machine (SocketMachine, threaded or under cxrun),
+// virtual clock on SimMachine — so DES figure runs are traceable with the
+// same pipeline.
 //
 // Usage (benches/examples):
 //

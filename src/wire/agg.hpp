@@ -21,7 +21,7 @@
 // Flush policy — a batch is sealed and transmitted when:
 //   * bytes   — appending would grow it past flush_bytes,
 //   * count   — it holds flush_count messages,
-//   * idle    — the owning scheduler runs out of work (ThreadedMachine)
+//   * idle    — the owning scheduler runs out of work (SocketMachine)
 //               or the per-destination flush timer fires (SimMachine's
 //               deterministic DES equivalent),
 //   * ordering— a message that cannot join the open batch (different

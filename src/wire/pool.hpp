@@ -11,8 +11,8 @@
 // simply stops recycling; blocks allocated while the pool was on are
 // still freed correctly.
 //
-// Threading: each scheduler thread (one per PE on ThreadedMachine, the
-// single DES thread on SimMachine, plus the driver thread) keeps
+// Threading: each scheduler thread (one per local PE on SocketMachine,
+// the single DES thread on SimMachine, plus the driver thread) keeps
 // thread-local free lists, so the fast path takes no lock. Messages
 // routinely migrate threads — allocated on the sender's PE, freed on
 // the receiver's — so each size class also has a mutex-protected

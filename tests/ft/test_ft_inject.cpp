@@ -1,17 +1,21 @@
 // cx::ft tier: seeded fault injection replays deterministically, the
 // seq+ack protocol delivers exactly-once under drop/dup/delay, the
 // no-fault configuration sends zero protocol traffic (the fast path the
-// messaging benchmarks depend on), failures surface as typed events, and
-// Future::get_for bounds a wait on both backends.
+// messaging benchmarks depend on), failures surface as typed events,
+// fault scripts parse strictly, and Future::get_for bounds a wait on both
+// backends.
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ft/ft.hpp"
 #include "test_helpers.hpp"
 #include "trace/trace.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -172,8 +176,8 @@ TEST(FtFastPath, ReliableModeAcksCrossPeMessages) {
 
 TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
   cx::RuntimeConfig cfg = sim_cfg(4);
-  cfg.machine.faults.crash_pe = 3;
-  cfg.machine.faults.crash_at = 1.0e-4;  // virtual seconds
+  // PE 3 crashes at 1e-4 virtual seconds.
+  cfg.machine.faults.script = {{3, 1.0e-4, cx::ft::FailureKind::Crashed}};
   run_program(cfg, [&] {
     std::vector<cx::ft::PeFailure> seen;
     cx::ft::on_failure(
@@ -191,15 +195,15 @@ TEST(FtFailure, ScriptedCrashSurfacesTypedFailure) {
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0].pe, 3);
     EXPECT_EQ(seen[0].kind, cx::ft::FailureKind::Crashed);
-    EXPECT_GE(seen[0].time, cfg.machine.faults.crash_at);
+    EXPECT_GE(seen[0].time, cfg.machine.faults.script[0].at);
     cx::exit();
   });
 }
 
 TEST(FtFailure, HungPeExhaustsRetriesAndIsReportedUnreachable) {
   cx::RuntimeConfig cfg = sim_cfg(2);
-  cfg.machine.faults.hang_pe = 1;
-  cfg.machine.faults.hang_at = 1.0e-6;  // stops draining almost at once
+  // PE 1 stops draining almost at once.
+  cfg.machine.faults.script = {{1, 1.0e-6, cx::ft::FailureKind::Hung}};
   cfg.machine.faults.reliable = true;
   cfg.machine.faults.retry.base_s = 1.0e-4;
   cfg.machine.faults.retry.max_attempts = 2;
@@ -221,6 +225,61 @@ TEST(FtFailure, HungPeExhaustsRetriesAndIsReportedUnreachable) {
     EXPECT_EQ(seen[0].kind, cx::ft::FailureKind::Unreachable);
     cx::exit();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Fault scripts: strict parsing, range checks, and the retired one-shot
+// flags failing loudly instead of running fault-free.
+
+TEST(FtScript, ParsesEventsInOrder) {
+  const auto s = cx::ft::parse_fault_script("crash:2@5e-5,hang:1@0.25");
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0].pe, 2);
+  EXPECT_DOUBLE_EQ(s[0].at, 5e-5);
+  EXPECT_EQ(s[0].kind, cx::ft::FailureKind::Crashed);
+  EXPECT_EQ(s[1].pe, 1);
+  EXPECT_DOUBLE_EQ(s[1].at, 0.25);
+  EXPECT_EQ(s[1].kind, cx::ft::FailureKind::Hung);
+}
+
+TEST(FtScript, RejectsMalformedEvents) {
+  for (const char* bad : {"crash:2x@5e-5", "crash:2@5e-5junk", "crash:-3@1e-5",
+                          "hang:1@-1", "crash:1@nan", "crash:1@inf",
+                          "crash:@1e-5", "crash:1@", "boom:1@1e-5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)cx::ft::parse_fault_script(bad), std::invalid_argument);
+  }
+}
+
+TEST(FtScript, SimRejectsOutOfRangePe) {
+  for (const int pe : {4, -1}) {
+    SCOPED_TRACE(pe);
+    cxm::MachineConfig m;
+    m.num_pes = 4;
+    m.backend = cxm::Backend::Sim;
+    m.faults.script = {{1, 1e-5, cx::ft::FailureKind::Crashed},
+                       {pe, 2e-5, cx::ft::FailureKind::Crashed}};
+    EXPECT_THROW((void)cxm::make_machine(m), std::invalid_argument);
+  }
+}
+
+TEST(FtScript, RetiredOneShotFlagsThrow) {
+  for (const char* flag : {"--ft-crash-pe", "--ft-crash-at", "--ft-hang-pe",
+                           "--ft-hang-at"}) {
+    SCOPED_TRACE(flag);
+    char prog[] = "prog";
+    std::string f = flag;
+    char val[] = "2";
+    char* argv[] = {prog, f.data(), val};
+    const cxu::Options opt(3, argv);
+    try {
+      (void)cx::ft::fault_config_from_options(opt);
+      ADD_FAILURE() << "retired flag accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--ft-script"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "machine/machine.hpp"
@@ -15,6 +20,61 @@ MachineConfig threaded(int pes) {
   cfg.num_pes = pes;
   cfg.backend = Backend::Threaded;
   return cfg;
+}
+
+TEST(ThreadedMachine, IsOneRankHostingEveryPe) {
+  for (const int pes : {1, 4}) {
+    auto m = make_machine(threaded(pes));
+    EXPECT_EQ(m->num_pes(), pes);
+    EXPECT_EQ(m->num_ranks(), 1);
+    EXPECT_EQ(m->my_rank(), 0);
+    for (int pe = 0; pe < pes; ++pe) {
+      EXPECT_TRUE(m->hosts_pe(pe)) << pe;
+      EXPECT_EQ(m->pe_to_rank(pe), 0) << pe;
+    }
+  }
+}
+
+std::size_t dir_entries(const char* path) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator(path)) {
+    ++n;
+  }
+  return n;
+}
+
+// A threaded run is exactly its PE threads: no comm thread, and no wake
+// pipe or epoll fd (those belong to the multi-rank bridge only).
+TEST(ThreadedMachine, NoRankBridge) {
+  // Sanitizer runtimes start a helper thread at the first thread
+  // creation: let that happen, and the warm-up thread exit, before
+  // taking the baseline.
+  pid_t warm_tid = 0;
+  std::thread([&] { warm_tid = ::gettid(); }).join();
+  const std::string warm_task = "/proc/self/task/" + std::to_string(warm_tid);
+  while (std::filesystem::exists(warm_task)) std::this_thread::yield();
+
+  const std::size_t fds_before = dir_entries("/proc/self/fd");
+  const std::size_t threads_before = dir_entries("/proc/self/task");
+  auto m = make_machine(threaded(3));
+  EXPECT_EQ(dir_entries("/proc/self/fd"), fds_before);
+  std::size_t threads_running = 0;
+  const auto h = m->register_handler([&](MessagePtr) {
+    threads_running = dir_entries("/proc/self/task");
+    m->stop();
+  });
+  auto msg = std::make_unique<Message>();
+  msg->handler = h;
+  msg->dst_pe = 2;  // the last PE thread spawned: all three are up
+  m->send(std::move(msg));
+  m->run();
+  EXPECT_EQ(threads_running, threads_before + 3);
+}
+
+TEST(ThreadedMachine, ZeroPesThrows) {
+  EXPECT_THROW((void)make_machine(threaded(0)), std::invalid_argument);
+  EXPECT_THROW((void)make_machine(threaded(-2)), std::invalid_argument);
 }
 
 TEST(ThreadedMachine, DeliversToAllPEs) {
