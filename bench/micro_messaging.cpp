@@ -168,7 +168,7 @@ cx::trace::WireStats wire_run(int payload, int messages, bool pooled) {
       }
     };
     pump(256);  // warm the free lists
-    cx::trace::reset_wire_stats();
+    cx::trace::reset_stats();
     pump(messages);
     w = cx::trace::wire_stats();
     cx::exit();
@@ -305,7 +305,7 @@ AggRunResult agg_run(int pes, int msgs, int payload, bool agg_on) {
   cx::RuntimeConfig cfg;
   cfg.machine.num_pes = pes;
   cfg.machine.backend = cxm::Backend::Sim;
-  cx::trace::reset_wire_stats();
+  cx::trace::reset_stats();
   cx::Runtime rt(cfg);
   rt.run([&] {
     auto ring = cx::create_group<AggRing>();

@@ -211,7 +211,7 @@ void Runtime::Impl::buffer_invoke(Chare* obj, const EpInfo& info, EpId ep,
   buf.total++;
   auto& w = cx::trace::detail::g_when;
   w.buffered.fetch_add(1, std::memory_order_relaxed);
-  w.raise_high_water(buf.total);
+  cx::trace::detail::raise_max(w.high_water, buf.total);
   CX_TRACE_EVENT(mype(), machine->now(), cx::trace::EventKind::WhenBuffer,
                  obj->coll_, buf.total);
 }

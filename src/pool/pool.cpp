@@ -564,7 +564,7 @@ Ranges take_grant(Dict& job, std::int64_t pe) {
   p.grants.fetch_add(1, std::memory_order_relaxed);
   p.granted_tasks.fetch_add(static_cast<std::uint64_t>(got),
                             std::memory_order_relaxed);
-  p.raise_max(p.max_chunk, static_cast<std::uint64_t>(got));
+  cx::trace::detail::raise_max(p.max_chunk, static_cast<std::uint64_t>(got));
   return grant;
 }
 
@@ -761,7 +761,8 @@ void define_manager() {
             // is what keeps a saturated pool deadlock-free.
             self["queued"].as_list().emplace_back(job_id);
             auto& p = cx::trace::detail::g_pool;
-            p.raise_max(p.queue_high_water, self["queued"].length());
+            cx::trace::detail::raise_max(p.queue_high_water,
+                                         self["queued"].length());
             CX_TRACE_EVENT(cx::my_pe(), cx::now(),
                            cx::trace::EventKind::PoolJobQueued,
                            static_cast<std::uint64_t>(job_id),

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/log.hpp"
 #include "util/options.hpp"
@@ -39,172 +41,56 @@ PoolJobs& pool_jobs() {
   static PoolJobs j;
   return j;
 }
-}  // namespace
 
-double PoolStats::p99_task_s() const noexcept {
-  if (tasks_done == 0) return 0.0;
-  const std::uint64_t target =
-      tasks_done - tasks_done / 100;  // ceil-ish 99th percentile rank
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    seen += lat_hist[i];
-    if (seen >= target) {
-      return static_cast<double>(1ull << (i + 1)) * 1e-9;
-    }
-  }
-  return static_cast<double>(1ull << kPoolLatBuckets) * 1e-9;
+// visit(stats, atomics, f) calls f(name, snapshot field, live atomic) for
+// every field of a family, in field-list order.
+#define CX_TRACE_VISIT(name) f(#name, s.name, a.name);
+template <class F>
+void visit(WireStats& s, detail::WireAtomics& a, F f) {
+  CX_TRACE_WIRE_FIELDS(CX_TRACE_VISIT)
 }
+template <class F>
+void visit(WhenEngineStats& s, detail::WhenAtomics& a, F f) {
+  CX_TRACE_WHEN_FIELDS(CX_TRACE_VISIT)
+}
+template <class F>
+void visit(PoolStats& s, detail::PoolAtomics& a, F f) {
+  CX_TRACE_POOL_FIELDS(CX_TRACE_VISIT)
+}
+template <class F>
+void visit(SectionStats& s, detail::SectionAtomics& a, F f) {
+  CX_TRACE_SECTION_FIELDS(CX_TRACE_VISIT)
+}
+#undef CX_TRACE_VISIT
 
-PoolStats pool_stats() noexcept {
-  const auto& p = detail::g_pool;
-  PoolStats s;
-  s.grants = p.grants.load(std::memory_order_relaxed);
-  s.granted_tasks = p.granted_tasks.load(std::memory_order_relaxed);
-  s.max_chunk = p.max_chunk.load(std::memory_order_relaxed);
-  s.steal_attempts = p.steal_attempts.load(std::memory_order_relaxed);
-  s.steal_hits = p.steal_hits.load(std::memory_order_relaxed);
-  s.stolen_tasks = p.stolen_tasks.load(std::memory_order_relaxed);
-  s.result_batches = p.result_batches.load(std::memory_order_relaxed);
-  s.tasks_done = p.tasks_done.load(std::memory_order_relaxed);
-  s.beats = p.beats.load(std::memory_order_relaxed);
-  s.reassigns = p.reassigns.load(std::memory_order_relaxed);
-  s.inflight_clamps = p.inflight_clamps.load(std::memory_order_relaxed);
-  s.queue_high_water = p.queue_high_water.load(std::memory_order_relaxed);
-  s.task_ns_sum = p.task_ns_sum.load(std::memory_order_relaxed);
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    s.lat_hist[i] = p.lat_hist[i].load(std::memory_order_relaxed);
-  }
+template <class Stats, class Atomics>
+Stats snapshot(Atomics& live) {
+  Stats s;
+  visit(s, live, [](const char*, std::uint64_t& v, auto& x) {
+    v = x.load(std::memory_order_relaxed);
+  });
   return s;
 }
 
-void reset_pool_stats() noexcept {
-  auto& p = detail::g_pool;
-  p.grants.store(0, std::memory_order_relaxed);
-  p.granted_tasks.store(0, std::memory_order_relaxed);
-  p.max_chunk.store(0, std::memory_order_relaxed);
-  p.steal_attempts.store(0, std::memory_order_relaxed);
-  p.steal_hits.store(0, std::memory_order_relaxed);
-  p.stolen_tasks.store(0, std::memory_order_relaxed);
-  p.result_batches.store(0, std::memory_order_relaxed);
-  p.tasks_done.store(0, std::memory_order_relaxed);
-  p.beats.store(0, std::memory_order_relaxed);
-  p.reassigns.store(0, std::memory_order_relaxed);
-  p.inflight_clamps.store(0, std::memory_order_relaxed);
-  p.queue_high_water.store(0, std::memory_order_relaxed);
-  p.task_ns_sum.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    p.lat_hist[i].store(0, std::memory_order_relaxed);
-  }
-  auto& j = pool_jobs();
-  std::lock_guard<std::mutex> lock(j.mu);
-  j.records.clear();
+template <class Stats, class Atomics>
+void zero(Atomics& live) {
+  Stats s;
+  visit(s, live, [](const char*, std::uint64_t&, auto& x) {
+    x.store(0, std::memory_order_relaxed);
+  });
 }
 
-void pool_job_note(const PoolJobRecord& rec) {
-  auto& j = pool_jobs();
-  std::lock_guard<std::mutex> lock(j.mu);
-  j.records.push_back(rec);
+/// Writes `,"key":{"field":value,...` for a family; the caller appends
+/// the derived rates and closes the object.
+template <class Stats, class Atomics>
+void json_family(std::ostream& os, const char* key, Stats s, Atomics& live) {
+  os << ",\"" << key << "\":{";
+  const char* sep = "";
+  visit(s, live, [&](const char* name, std::uint64_t& v, auto&) {
+    os << sep << '"' << name << "\":" << v;
+    sep = ",";
+  });
 }
-
-std::vector<PoolJobRecord> pool_job_records() {
-  auto& j = pool_jobs();
-  std::lock_guard<std::mutex> lock(j.mu);
-  return j.records;
-}
-
-WhenEngineStats when_stats() noexcept {
-  const auto& w = detail::g_when;
-  WhenEngineStats s;
-  s.tests = w.tests.load(std::memory_order_relaxed);
-  s.hits = w.hits.load(std::memory_order_relaxed);
-  s.buffered = w.buffered.load(std::memory_order_relaxed);
-  s.skipped = w.skipped.load(std::memory_order_relaxed);
-  s.high_water = w.high_water.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_when_stats() noexcept {
-  auto& w = detail::g_when;
-  w.tests.store(0, std::memory_order_relaxed);
-  w.hits.store(0, std::memory_order_relaxed);
-  w.buffered.store(0, std::memory_order_relaxed);
-  w.skipped.store(0, std::memory_order_relaxed);
-  w.high_water.store(0, std::memory_order_relaxed);
-}
-
-WireStats wire_stats() noexcept {
-  const auto& w = detail::g_wire;
-  WireStats s;
-  s.envelopes = w.envelopes.load(std::memory_order_relaxed);
-  s.bytes_packed = w.bytes_packed.load(std::memory_order_relaxed);
-  s.sbo_payloads = w.sbo_payloads.load(std::memory_order_relaxed);
-  s.buf_allocs = w.buf_allocs.load(std::memory_order_relaxed);
-  s.buf_hits = w.buf_hits.load(std::memory_order_relaxed);
-  s.buf_recycled = w.buf_recycled.load(std::memory_order_relaxed);
-  s.msg_allocs = w.msg_allocs.load(std::memory_order_relaxed);
-  s.msg_hits = w.msg_hits.load(std::memory_order_relaxed);
-  s.msg_recycled = w.msg_recycled.load(std::memory_order_relaxed);
-  s.env_allocs = w.env_allocs.load(std::memory_order_relaxed);
-  s.env_hits = w.env_hits.load(std::memory_order_relaxed);
-  s.transport_msgs = w.transport_msgs.load(std::memory_order_relaxed);
-  s.agg_batches = w.agg_batches.load(std::memory_order_relaxed);
-  s.agg_msgs = w.agg_msgs.load(std::memory_order_relaxed);
-  s.agg_flush_bytes = w.agg_flush_bytes.load(std::memory_order_relaxed);
-  s.agg_flush_count = w.agg_flush_count.load(std::memory_order_relaxed);
-  s.agg_flush_idle = w.agg_flush_idle.load(std::memory_order_relaxed);
-  s.agg_flush_order = w.agg_flush_order.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_wire_stats() noexcept {
-  auto& w = detail::g_wire;
-  w.envelopes.store(0, std::memory_order_relaxed);
-  w.bytes_packed.store(0, std::memory_order_relaxed);
-  w.sbo_payloads.store(0, std::memory_order_relaxed);
-  w.buf_allocs.store(0, std::memory_order_relaxed);
-  w.buf_hits.store(0, std::memory_order_relaxed);
-  w.buf_recycled.store(0, std::memory_order_relaxed);
-  w.msg_allocs.store(0, std::memory_order_relaxed);
-  w.msg_hits.store(0, std::memory_order_relaxed);
-  w.msg_recycled.store(0, std::memory_order_relaxed);
-  w.env_allocs.store(0, std::memory_order_relaxed);
-  w.env_hits.store(0, std::memory_order_relaxed);
-  w.transport_msgs.store(0, std::memory_order_relaxed);
-  w.agg_batches.store(0, std::memory_order_relaxed);
-  w.agg_msgs.store(0, std::memory_order_relaxed);
-  w.agg_flush_bytes.store(0, std::memory_order_relaxed);
-  w.agg_flush_count.store(0, std::memory_order_relaxed);
-  w.agg_flush_idle.store(0, std::memory_order_relaxed);
-  w.agg_flush_order.store(0, std::memory_order_relaxed);
-}
-
-SectionStats section_stats() noexcept {
-  const auto& s = detail::g_section;
-  SectionStats out;
-  out.sections_built = s.sections_built.load(std::memory_order_relaxed);
-  out.tree_repairs = s.tree_repairs.load(std::memory_order_relaxed);
-  out.mcasts = s.mcasts.load(std::memory_order_relaxed);
-  out.mcast_envelopes = s.mcast_envelopes.load(std::memory_order_relaxed);
-  out.envelopes_saved = s.envelopes_saved.load(std::memory_order_relaxed);
-  out.contributions = s.contributions.load(std::memory_order_relaxed);
-  out.red_fragments = s.red_fragments.load(std::memory_order_relaxed);
-  out.reductions_done = s.reductions_done.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_section_stats() noexcept {
-  auto& s = detail::g_section;
-  s.sections_built.store(0, std::memory_order_relaxed);
-  s.tree_repairs.store(0, std::memory_order_relaxed);
-  s.mcasts.store(0, std::memory_order_relaxed);
-  s.mcast_envelopes.store(0, std::memory_order_relaxed);
-  s.envelopes_saved.store(0, std::memory_order_relaxed);
-  s.contributions.store(0, std::memory_order_relaxed);
-  s.red_fragments.store(0, std::memory_order_relaxed);
-  s.reductions_done.store(0, std::memory_order_relaxed);
-}
-
-namespace {
 
 /// One PE's trace state. The owning PE thread is the only writer; the
 /// ring index is published with a release store so post-run readers see
@@ -241,141 +127,51 @@ int hist_bucket(double seconds) {
 void bump_counters(Counters& c, EventKind kind, std::uint64_t a,
                    std::uint64_t b) {
   switch (kind) {
+#define CX_TRACE_BUMP(Kind, json_name, counter) \
+  case EventKind::Kind: c.counter++; break;
+#define CX_TRACE_NO_BUMP(Kind, json_name) \
+  case EventKind::Kind: break;
+    CX_TRACE_KINDS(CX_TRACE_BUMP, CX_TRACE_NO_BUMP)
+#undef CX_TRACE_BUMP
+#undef CX_TRACE_NO_BUMP
+  }
+  // The accumulators beyond the per-kind count.
+  switch (kind) {
     case EventKind::MsgSend:
-      c.msgs_sent++;
       c.bytes_sent += b;
       break;
     case EventKind::MsgRecv:
-      c.msgs_recv++;
       c.bytes_recv += b;
       break;
     case EventKind::Idle:
-      c.idle_spans++;
       c.idle_time += static_cast<double>(a) * 1e-9;
       break;
-    case EventKind::EntryBegin:
-      break;
     case EventKind::EntryEnd: {
-      c.entries++;
       const double dur = static_cast<double>(b) * 1e-9;
       c.entry_time += dur;
       c.entry_hist[hist_bucket(dur)]++;
       break;
     }
-    case EventKind::WhenBuffer:
-      c.when_buffered++;
-      break;
-    case EventKind::RedContribute:
-      c.reductions_contributed++;
-      break;
-    case EventKind::RedDeliver:
-      c.reductions_delivered++;
-      break;
-    case EventKind::MigrateOut:
-      c.migrations_out++;
-      break;
-    case EventKind::MigrateIn:
-      c.migrations_in++;
-      break;
-    case EventKind::LbDecision:
-      c.lb_decisions++;
-      break;
-    case EventKind::FiberSuspend:
-      c.fiber_suspends++;
-      break;
-    case EventKind::FiberResume:
-      c.fiber_resumes++;
-      break;
-    case EventKind::DynDispatch:
-      c.dyn_dispatches++;
-      break;
-    case EventKind::PoolJobQueued:
-      c.pool_jobs_queued++;
-      break;
-    case EventKind::PoolJobStart:
-      c.pool_jobs_started++;
-      break;
-    case EventKind::PoolJobDone:
-      c.pool_jobs_done++;
-      break;
-    case EventKind::FtDrop:
-      c.ft_drops++;
-      break;
-    case EventKind::FtAck:
-      c.ft_acks++;
-      break;
-    case EventKind::FtRetransmit:
-      c.ft_retransmits++;
-      break;
-    case EventKind::FtFailure:
-      c.ft_failures++;
-      break;
-    case EventKind::FtCheckpoint:
-      c.ft_checkpoints++;
-      break;
-    case EventKind::FtRestore:
-      c.ft_restores++;
-      break;
-    case EventKind::FtResubmit:
-      c.ft_resubmits++;
-      break;
     case EventKind::FtDetect:
-      c.ft_detections++;
       c.ft_detect_latency_s += static_cast<double>(b) * 1e-9;
       break;
-    case EventKind::FtNotice:
-      break;  // informational; rounds are counted at FtRecover
     case EventKind::FtRecover:
-      c.ft_recoveries++;
       c.ft_mttr_s += static_cast<double>(b) * 1e-9;
       break;
-  }
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << ch;
-    }
+    default:
+      break;
   }
 }
 
 void json_counters(std::ostream& os, const Counters& c) {
-  os << "{\"msgs_sent\":" << c.msgs_sent << ",\"bytes_sent\":" << c.bytes_sent
-     << ",\"msgs_recv\":" << c.msgs_recv << ",\"bytes_recv\":" << c.bytes_recv
-     << ",\"entries\":" << c.entries << ",\"entry_time\":" << c.entry_time
-     << ",\"idle_time\":" << c.idle_time << ",\"idle_spans\":" << c.idle_spans
-     << ",\"when_buffered\":" << c.when_buffered
-     << ",\"reductions_contributed\":" << c.reductions_contributed
-     << ",\"reductions_delivered\":" << c.reductions_delivered
-     << ",\"migrations_out\":" << c.migrations_out
-     << ",\"migrations_in\":" << c.migrations_in
-     << ",\"lb_decisions\":" << c.lb_decisions
-     << ",\"fiber_suspends\":" << c.fiber_suspends
-     << ",\"fiber_resumes\":" << c.fiber_resumes
-     << ",\"dyn_dispatches\":" << c.dyn_dispatches
-     << ",\"pool_jobs_queued\":" << c.pool_jobs_queued
-     << ",\"pool_jobs_started\":" << c.pool_jobs_started
-     << ",\"pool_jobs_done\":" << c.pool_jobs_done
-     << ",\"ft_drops\":" << c.ft_drops << ",\"ft_acks\":" << c.ft_acks
-     << ",\"ft_retransmits\":" << c.ft_retransmits
-     << ",\"ft_failures\":" << c.ft_failures
-     << ",\"ft_checkpoints\":" << c.ft_checkpoints
-     << ",\"ft_restores\":" << c.ft_restores
-     << ",\"ft_resubmits\":" << c.ft_resubmits
-     << ",\"ft_detections\":" << c.ft_detections
+  os << '{';
+#define CX_TRACE_JSON_COUNT(Kind, json_name, counter) \
+  os << "\"" #counter "\":" << c.counter << ',';
+  CX_TRACE_KINDS(CX_TRACE_JSON_COUNT, CX_TRACE_NONE)
+#undef CX_TRACE_JSON_COUNT
+  os << "\"bytes_sent\":" << c.bytes_sent << ",\"bytes_recv\":" << c.bytes_recv
+     << ",\"entry_time\":" << c.entry_time << ",\"idle_time\":" << c.idle_time
      << ",\"ft_detect_latency_s\":" << c.ft_detect_latency_s
-     << ",\"ft_recoveries\":" << c.ft_recoveries
      << ",\"ft_mttr_s\":" << c.ft_mttr_s
      << ",\"dropped_events\":" << c.dropped_events << ",\"entry_hist_us\":[";
   for (int i = 0; i < kHistBuckets; ++i) {
@@ -399,37 +195,72 @@ std::string human_bytes(std::uint64_t b) {
 
 }  // namespace
 
+double PoolStats::p99_task_s() const noexcept {
+  if (tasks_done == 0) return 0.0;
+  const std::uint64_t target =
+      tasks_done - tasks_done / 100;  // ceil-ish 99th percentile rank
+  std::uint64_t seen = 0;
+  for (int i = 0; i < kPoolLatBuckets; ++i) {
+    seen += lat_hist[i];
+    if (seen >= target) {
+      return static_cast<double>(1ull << (i + 1)) * 1e-9;
+    }
+  }
+  return static_cast<double>(1ull << kPoolLatBuckets) * 1e-9;
+}
+
+void pool_job_note(const PoolJobRecord& rec) {
+  auto& j = pool_jobs();
+  std::lock_guard<std::mutex> lock(j.mu);
+  j.records.push_back(rec);
+}
+
+std::vector<PoolJobRecord> pool_job_records() {
+  auto& j = pool_jobs();
+  std::lock_guard<std::mutex> lock(j.mu);
+  return j.records;
+}
+
+WireStats wire_stats() noexcept { return snapshot<WireStats>(detail::g_wire); }
+
+WhenEngineStats when_stats() noexcept {
+  return snapshot<WhenEngineStats>(detail::g_when);
+}
+
+PoolStats pool_stats() noexcept {
+  PoolStats s = snapshot<PoolStats>(detail::g_pool);
+  for (int i = 0; i < kPoolLatBuckets; ++i) {
+    s.lat_hist[i] = detail::g_pool.lat_hist[i].load(std::memory_order_relaxed);
+  }
+  return s;
+}
+
+SectionStats section_stats() noexcept {
+  return snapshot<SectionStats>(detail::g_section);
+}
+
+void reset_stats() noexcept {
+  zero<WireStats>(detail::g_wire);
+  zero<WhenEngineStats>(detail::g_when);
+  zero<PoolStats>(detail::g_pool);
+  zero<SectionStats>(detail::g_section);
+  for (auto& bucket : detail::g_pool.lat_hist) {
+    bucket.store(0, std::memory_order_relaxed);
+  }
+  auto& j = pool_jobs();
+  std::lock_guard<std::mutex> lock(j.mu);
+  j.records.clear();
+}
+
 void Counters::merge(const Counters& o) {
-  msgs_sent += o.msgs_sent;
+#define CX_TRACE_MERGE(Kind, json_name, counter) counter += o.counter;
+  CX_TRACE_KINDS(CX_TRACE_MERGE, CX_TRACE_NONE)
+#undef CX_TRACE_MERGE
   bytes_sent += o.bytes_sent;
-  msgs_recv += o.msgs_recv;
   bytes_recv += o.bytes_recv;
-  entries += o.entries;
   entry_time += o.entry_time;
   idle_time += o.idle_time;
-  idle_spans += o.idle_spans;
-  when_buffered += o.when_buffered;
-  reductions_contributed += o.reductions_contributed;
-  reductions_delivered += o.reductions_delivered;
-  migrations_out += o.migrations_out;
-  migrations_in += o.migrations_in;
-  lb_decisions += o.lb_decisions;
-  fiber_suspends += o.fiber_suspends;
-  fiber_resumes += o.fiber_resumes;
-  dyn_dispatches += o.dyn_dispatches;
-  pool_jobs_queued += o.pool_jobs_queued;
-  pool_jobs_started += o.pool_jobs_started;
-  pool_jobs_done += o.pool_jobs_done;
-  ft_drops += o.ft_drops;
-  ft_acks += o.ft_acks;
-  ft_retransmits += o.ft_retransmits;
-  ft_failures += o.ft_failures;
-  ft_checkpoints += o.ft_checkpoints;
-  ft_restores += o.ft_restores;
-  ft_resubmits += o.ft_resubmits;
-  ft_detections += o.ft_detections;
   ft_detect_latency_s += o.ft_detect_latency_s;
-  ft_recoveries += o.ft_recoveries;
   ft_mttr_s += o.ft_mttr_s;
   dropped_events += o.dropped_events;
   for (int i = 0; i < kHistBuckets; ++i) entry_hist[i] += o.entry_hist[i];
@@ -437,60 +268,11 @@ void Counters::merge(const Counters& o) {
 
 const char* kind_name(EventKind k) noexcept {
   switch (k) {
-    case EventKind::MsgSend:
-      return "msg_send";
-    case EventKind::MsgRecv:
-      return "msg_recv";
-    case EventKind::Idle:
-      return "idle";
-    case EventKind::EntryBegin:
-      return "entry_begin";
-    case EventKind::EntryEnd:
-      return "entry_end";
-    case EventKind::WhenBuffer:
-      return "when_buffer";
-    case EventKind::RedContribute:
-      return "red_contribute";
-    case EventKind::RedDeliver:
-      return "red_deliver";
-    case EventKind::MigrateOut:
-      return "migrate_out";
-    case EventKind::MigrateIn:
-      return "migrate_in";
-    case EventKind::LbDecision:
-      return "lb_decision";
-    case EventKind::FiberSuspend:
-      return "fiber_suspend";
-    case EventKind::FiberResume:
-      return "fiber_resume";
-    case EventKind::DynDispatch:
-      return "dyn_dispatch";
-    case EventKind::PoolJobQueued:
-      return "pool_job_queued";
-    case EventKind::PoolJobStart:
-      return "pool_job_start";
-    case EventKind::PoolJobDone:
-      return "pool_job_done";
-    case EventKind::FtDrop:
-      return "ft_drop";
-    case EventKind::FtAck:
-      return "ft_ack";
-    case EventKind::FtRetransmit:
-      return "ft_retransmit";
-    case EventKind::FtFailure:
-      return "ft_failure";
-    case EventKind::FtCheckpoint:
-      return "ft_checkpoint";
-    case EventKind::FtRestore:
-      return "ft_restore";
-    case EventKind::FtResubmit:
-      return "ft_resubmit";
-    case EventKind::FtDetect:
-      return "ft_detect";
-    case EventKind::FtNotice:
-      return "ft_notice";
-    case EventKind::FtRecover:
-      return "ft_recover";
+#define CX_TRACE_NAME(Kind, json_name, ...) \
+  case EventKind::Kind:                     \
+    return #json_name;
+    CX_TRACE_KINDS(CX_TRACE_NAME, CX_TRACE_NAME)
+#undef CX_TRACE_NAME
   }
   return "unknown";
 }
@@ -507,8 +289,13 @@ void configure_from_options(const cxu::Options& opt) {
   Config cfg;
   cfg.enabled = opt.get_bool("trace", false);
   cfg.out_path = opt.get_string("trace-out", "trace.json");
-  cfg.buffer_events = static_cast<std::size_t>(
-      opt.get_int("trace-buffer", 1 << 16));
+  const std::int64_t buffer = opt.get_int("trace-buffer", 1 << 16);
+  if (buffer < 1) {
+    throw std::invalid_argument(
+        "--trace-buffer: expected a ring size of at least 1 event, got '" +
+        opt.get_string("trace-buffer", "") + "'");
+  }
+  cfg.buffer_events = static_cast<std::size_t>(buffer);
   configure(std::move(cfg));
 }
 
@@ -519,22 +306,18 @@ void begin_run(int num_pes, bool simulated) {
   std::lock_guard<std::mutex> lock(s.mutex);
   s.pes.clear();
   s.simulated = simulated;
-  reset_wire_stats();
-  reset_when_stats();
-  reset_pool_stats();
-  reset_section_stats();
+  reset_stats();
   if (!s.cfg.enabled) return;
   // Rings are allocated eagerly, so clamp the per-PE capacity to keep the
   // total bounded when a simulated run uses thousands of virtual PEs
   // (oldest events are overwritten and counted as dropped).
   constexpr std::uint64_t kMaxTotalEvents = 1ull << 22;  // ~128 MiB
+  // Compared by division: per_pe * num_pes can wrap 64 bits.
+  const std::uint64_t fair =
+      kMaxTotalEvents / static_cast<std::uint64_t>(std::max(num_pes, 1));
   std::size_t per_pe = s.cfg.buffer_events;
-  const std::uint64_t want =
-      static_cast<std::uint64_t>(per_pe) * static_cast<std::uint64_t>(num_pes);
-  if (want > kMaxTotalEvents) {
-    per_pe = std::max<std::size_t>(
-        64, static_cast<std::size_t>(kMaxTotalEvents /
-                                     static_cast<std::uint64_t>(num_pes)));
+  if (per_pe > fair) {
+    per_pe = std::max<std::size_t>(64, static_cast<std::size_t>(fair));
     CX_LOG_WARN("trace: clamping ring to ", per_pe, " events/PE for ",
                 num_pes, " PEs (requested ", s.cfg.buffer_events, ")");
   }
@@ -660,10 +443,8 @@ std::string summary_table() {
   if (w.envelopes > 0) {
     os << "\ncx::wire: " << w.envelopes << " envelopes, "
        << human_bytes(w.bytes_packed) << " packed ("
-       << cxu::Table::num(w.envelopes > 0
-                              ? static_cast<double>(w.bytes_packed) /
-                                    static_cast<double>(w.envelopes)
-                              : 0.0,
+       << cxu::Table::num(static_cast<double>(w.bytes_packed) /
+                              static_cast<double>(w.envelopes),
                           1)
        << " B/send), " << w.sbo_payloads << " inline (SBO), "
        << w.buf_allocs + w.msg_allocs + w.env_allocs << " heap allocs, "
@@ -712,6 +493,10 @@ std::string summary_table() {
 
 void write_json(std::ostream& os) {
   const int P = traced_pes();
+  // Round-trip precision: the default 6 significant digits collapse
+  // distinct sub-microsecond timestamps (and every double past 1 s).
+  const auto saved_precision =
+      os.precision(std::numeric_limits<double>::max_digits10);
   struct Tagged {
     Event ev;
     int pe;
@@ -733,9 +518,10 @@ void write_json(std::ostream& os) {
   for (const Tagged& t : all) {
     if (!first) os << ',';
     first = false;
-    os << "{\"t\":" << t.ev.time << ",\"pe\":" << t.pe << ",\"kind\":\"";
-    json_escape(os, kind_name(t.ev.kind));
-    os << "\",\"a\":" << t.ev.a << ",\"b\":" << t.ev.b << '}';
+    // Kind names come from identifiers in CX_TRACE_KINDS: no escaping.
+    os << "{\"t\":" << t.ev.time << ",\"pe\":" << t.pe << ",\"kind\":\""
+       << kind_name(t.ev.kind) << "\",\"a\":" << t.ev.a << ",\"b\":" << t.ev.b
+       << '}';
   }
   os << "],\"counters\":{\"per_pe\":[";
   for (int pe = 0; pe < P; ++pe) {
@@ -744,51 +530,19 @@ void write_json(std::ostream& os) {
   }
   os << "],\"total\":";
   json_counters(os, aggregate());
+  os << '}';
   const WhenEngineStats ws = when_stats();
-  os << "},\"when\":{\"tests\":" << ws.tests << ",\"hits\":" << ws.hits
-     << ",\"buffered\":" << ws.buffered << ",\"skipped\":" << ws.skipped
-     << ",\"skip_rate\":" << ws.skip_rate()
-     << ",\"high_water\":" << ws.high_water;
+  json_family(os, "when", ws, detail::g_when);
+  os << ",\"skip_rate\":" << ws.skip_rate() << '}';
   const WireStats w = wire_stats();
-  os << "},\"wire\":{\"envelopes\":" << w.envelopes
-     << ",\"bytes_packed\":" << w.bytes_packed
-     << ",\"sbo_payloads\":" << w.sbo_payloads
-     << ",\"buf_allocs\":" << w.buf_allocs << ",\"buf_hits\":" << w.buf_hits
-     << ",\"buf_recycled\":" << w.buf_recycled
-     << ",\"msg_allocs\":" << w.msg_allocs << ",\"msg_hits\":" << w.msg_hits
-     << ",\"msg_recycled\":" << w.msg_recycled
-     << ",\"env_allocs\":" << w.env_allocs << ",\"env_hits\":" << w.env_hits
-     << ",\"pool_hit_rate\":" << w.hit_rate()
-     << ",\"transport_msgs\":" << w.transport_msgs
-     << ",\"agg_batches\":" << w.agg_batches
-     << ",\"agg_msgs\":" << w.agg_msgs
-     << ",\"agg_flush_bytes\":" << w.agg_flush_bytes
-     << ",\"agg_flush_count\":" << w.agg_flush_count
-     << ",\"agg_flush_idle\":" << w.agg_flush_idle
-     << ",\"agg_flush_order\":" << w.agg_flush_order << "}";
-  const SectionStats sect = section_stats();
-  os << ",\"sections\":{\"sections_built\":" << sect.sections_built
-     << ",\"tree_repairs\":" << sect.tree_repairs
-     << ",\"mcasts\":" << sect.mcasts
-     << ",\"mcast_envelopes\":" << sect.mcast_envelopes
-     << ",\"envelopes_saved\":" << sect.envelopes_saved
-     << ",\"contributions\":" << sect.contributions
-     << ",\"red_fragments\":" << sect.red_fragments
-     << ",\"reductions_done\":" << sect.reductions_done << "}";
+  json_family(os, "wire", w, detail::g_wire);
+  os << ",\"pool_hit_rate\":" << w.hit_rate() << '}';
+  json_family(os, "sections", section_stats(), detail::g_section);
+  os << '}';
   const PoolStats pool = pool_stats();
-  os << ",\"pool\":{\"grants\":" << pool.grants
-     << ",\"granted_tasks\":" << pool.granted_tasks
-     << ",\"mean_chunk\":" << pool.mean_chunk()
-     << ",\"max_chunk\":" << pool.max_chunk
-     << ",\"steal_attempts\":" << pool.steal_attempts
-     << ",\"steal_hits\":" << pool.steal_hits
+  json_family(os, "pool", pool, detail::g_pool);
+  os << ",\"mean_chunk\":" << pool.mean_chunk()
      << ",\"steal_hit_rate\":" << pool.steal_hit_rate()
-     << ",\"stolen_tasks\":" << pool.stolen_tasks
-     << ",\"result_batches\":" << pool.result_batches
-     << ",\"tasks_done\":" << pool.tasks_done << ",\"beats\":" << pool.beats
-     << ",\"reassigns\":" << pool.reassigns
-     << ",\"inflight_clamps\":" << pool.inflight_clamps
-     << ",\"queue_high_water\":" << pool.queue_high_water
      << ",\"mean_task_s\":" << pool.mean_task_s()
      << ",\"p99_task_s\":" << pool.p99_task_s() << ",\"jobs\":[";
   bool jfirst = true;
@@ -802,6 +556,7 @@ void write_json(std::ostream& os) {
        << ",\"failed\":" << (r.failed ? "true" : "false") << '}';
   }
   os << "]}}\n";
+  os.precision(saved_precision);
 }
 
 bool write_json(const std::string& path) {
@@ -833,10 +588,7 @@ void reset() {
   s.pes.clear();
   s.cfg = Config{};
   s.simulated = false;
-  reset_wire_stats();
-  reset_when_stats();
-  reset_pool_stats();
-  reset_section_stats();
+  reset_stats();
   detail::g_enabled.store(false, std::memory_order_relaxed);
 }
 

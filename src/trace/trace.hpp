@@ -71,34 +71,49 @@ namespace cx::trace {
 //   FtNotice      a = failed PE         b = recovery round
 //   FtRecover     a = recovery round    b = MTTR nanoseconds
 //                                           (failure detection -> restored)
+
+// One row per event kind, in enum order. X(Kind, json_name, counter): each
+// event bumps Counters::counter by one. N(Kind, json_name): the kind counts
+// nothing (EntryEnd counts the entry, FtRecover the recovery round).
+#define CX_TRACE_KINDS(X, N)                                                  \
+  X(MsgSend, msg_send, msgs_sent)                                             \
+  X(MsgRecv, msg_recv, msgs_recv)                                             \
+  X(Idle, idle, idle_spans)                                                   \
+  N(EntryBegin, entry_begin)                                                  \
+  X(EntryEnd, entry_end, entries)                                             \
+  X(WhenBuffer, when_buffer, when_buffered)                                   \
+  X(RedContribute, red_contribute, reductions_contributed)                    \
+  X(RedDeliver, red_deliver, reductions_delivered)                            \
+  X(MigrateOut, migrate_out, migrations_out)                                  \
+  X(MigrateIn, migrate_in, migrations_in)                                     \
+  X(LbDecision, lb_decision, lb_decisions)                                    \
+  X(FiberSuspend, fiber_suspend, fiber_suspends)                              \
+  X(FiberResume, fiber_resume, fiber_resumes)                                 \
+  X(DynDispatch, dyn_dispatch, dyn_dispatches)                                \
+  X(PoolJobQueued, pool_job_queued, pool_jobs_queued)                         \
+  X(PoolJobStart, pool_job_start, pool_jobs_started)                          \
+  X(PoolJobDone, pool_job_done, pool_jobs_done)                               \
+  X(FtDrop, ft_drop, ft_drops)                                                \
+  X(FtAck, ft_ack, ft_acks)                                                   \
+  X(FtRetransmit, ft_retransmit, ft_retransmits)                              \
+  X(FtFailure, ft_failure, ft_failures)                                       \
+  X(FtCheckpoint, ft_checkpoint, ft_checkpoints)                              \
+  X(FtRestore, ft_restore, ft_restores)                                       \
+  X(FtResubmit, ft_resubmit, ft_resubmits)                                    \
+  X(FtDetect, ft_detect, ft_detections) /* heartbeat-detector declarations */ \
+  N(FtNotice, ft_notice) /* informational; rounds are counted at FtRecover */ \
+  X(FtRecover, ft_recover, ft_recoveries) /* completed auto-recovery rounds */
+
+// Row macros for the tables: CX_TRACE_NONE drops a row; the others declare
+// an enumerator, a Counters count, or a stat family's plain/atomic field.
+#define CX_TRACE_NONE(...)
+#define CX_TRACE_ENUMERATOR(Kind, ...) Kind,
+#define CX_TRACE_COUNT_FIELD(Kind, name, counter) std::uint64_t counter = 0;
+#define CX_TRACE_U64_FIELD(name) std::uint64_t name = 0;
+#define CX_TRACE_ATOMIC_FIELD(name) std::atomic<std::uint64_t> name{0};
+
 enum class EventKind : std::uint8_t {
-  MsgSend = 0,
-  MsgRecv,
-  Idle,
-  EntryBegin,
-  EntryEnd,
-  WhenBuffer,
-  RedContribute,
-  RedDeliver,
-  MigrateOut,
-  MigrateIn,
-  LbDecision,
-  FiberSuspend,
-  FiberResume,
-  DynDispatch,
-  PoolJobQueued,
-  PoolJobStart,
-  PoolJobDone,
-  FtDrop,
-  FtAck,
-  FtRetransmit,
-  FtFailure,
-  FtCheckpoint,
-  FtRestore,
-  FtResubmit,
-  FtDetect,
-  FtNotice,
-  FtRecover,
+  CX_TRACE_KINDS(CX_TRACE_ENUMERATOR, CX_TRACE_ENUMERATOR)
 };
 
 /// Stable snake_case name used in the JSON timeline.
@@ -117,42 +132,26 @@ struct Event {
 inline constexpr int kHistBuckets = 20;
 
 struct Counters {
-  std::uint64_t msgs_sent = 0;
+  CX_TRACE_KINDS(CX_TRACE_COUNT_FIELD, CX_TRACE_NONE)
   std::uint64_t bytes_sent = 0;
-  std::uint64_t msgs_recv = 0;
   std::uint64_t bytes_recv = 0;
-  std::uint64_t entries = 0;
-  double entry_time = 0.0;  ///< seconds inside entry methods
-  double idle_time = 0.0;   ///< seconds the scheduler sat idle
-  std::uint64_t idle_spans = 0;
-  std::uint64_t when_buffered = 0;
-  std::uint64_t reductions_contributed = 0;
-  std::uint64_t reductions_delivered = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t lb_decisions = 0;
-  std::uint64_t fiber_suspends = 0;
-  std::uint64_t fiber_resumes = 0;
-  std::uint64_t dyn_dispatches = 0;
-  std::uint64_t pool_jobs_queued = 0;
-  std::uint64_t pool_jobs_started = 0;
-  std::uint64_t pool_jobs_done = 0;
-  std::uint64_t ft_drops = 0;
-  std::uint64_t ft_acks = 0;
-  std::uint64_t ft_retransmits = 0;
-  std::uint64_t ft_failures = 0;
-  std::uint64_t ft_checkpoints = 0;
-  std::uint64_t ft_restores = 0;
-  std::uint64_t ft_resubmits = 0;
-  std::uint64_t ft_detections = 0;     ///< heartbeat-detector declarations
-  double ft_detect_latency_s = 0.0;    ///< summed silence at detection
-  std::uint64_t ft_recoveries = 0;     ///< completed auto-recovery rounds
-  double ft_mttr_s = 0.0;              ///< summed MTTR across rounds
+  double entry_time = 0.0;           ///< seconds inside entry methods
+  double idle_time = 0.0;            ///< seconds the scheduler sat idle
+  double ft_detect_latency_s = 0.0;  ///< summed silence at detection
+  double ft_mttr_s = 0.0;            ///< summed MTTR across rounds
   std::uint64_t dropped_events = 0;  ///< ring overwrites (oldest lost)
   std::uint64_t entry_hist[kHistBuckets] = {0};
 
   void merge(const Counters& o);
 };
+
+// ---- always-on stat families ----------------------------------------------
+//
+// Each family below is one field list. It generates the public snapshot
+// struct's fields, the detail::*Atomics struct the hook sites bump
+// (relaxed fetch_add on a named member), the snapshot function, zeroing
+// in reset_stats() and the family's JSON object. Derived rates stay
+// hand-written methods of the snapshot struct.
 
 // ---- cx::wire allocation counters ---------------------------------------
 //
@@ -162,30 +161,32 @@ struct Counters {
 // (plain relaxed atomic adds — cheap next to the heap traffic they
 // count) so --wire-pool A/B runs work without --trace.
 
-struct WireStats {
-  std::uint64_t envelopes = 0;     ///< messages built by the wire builder
-  std::uint64_t bytes_packed = 0;  ///< header+body bytes packed
-  std::uint64_t sbo_payloads = 0;  ///< envelopes that fit inline (no heap)
-  std::uint64_t buf_allocs = 0;    ///< payload blocks taken from the system
-  std::uint64_t buf_hits = 0;      ///< payload blocks served from the pool
-  std::uint64_t buf_recycled = 0;  ///< payload blocks returned to the pool
-  std::uint64_t msg_allocs = 0;    ///< Message objects from the system
-  std::uint64_t msg_hits = 0;      ///< Message objects from the pool
-  std::uint64_t msg_recycled = 0;  ///< Message objects returned to the pool
-  std::uint64_t env_allocs = 0;    ///< LocalEnvelopes from the system
-  std::uint64_t env_hits = 0;      ///< LocalEnvelopes from the pool
+#define CX_TRACE_WIRE_FIELDS(X)                                               \
+  X(envelopes)       /* messages built by the wire builder */                 \
+  X(bytes_packed)    /* header+body bytes packed */                           \
+  X(sbo_payloads)    /* envelopes that fit inline (no heap) */                \
+  X(buf_allocs)      /* payload blocks taken from the system */               \
+  X(buf_hits)        /* payload blocks served from the pool */                \
+  X(buf_recycled)    /* payload blocks returned to the pool */                \
+  X(msg_allocs)      /* Message objects from the system */                    \
+  X(msg_hits)        /* Message objects from the pool */                      \
+  X(msg_recycled)    /* Message objects returned to the pool */               \
+  X(env_allocs)      /* LocalEnvelopes from the system */                     \
+  X(env_hits)        /* LocalEnvelopes from the pool */                       \
+  /* Sender-side aggregation (--wire-agg). transport_msgs counts physical     \
+     cross-PE wire envelopes (batches count once); agg_msgs counts            \
+     application messages that travelled inside a batch. The flush_*          \
+     counters break sealed batches down by trigger. */                        \
+  X(transport_msgs)  /* physical cross-PE envelopes */                        \
+  X(agg_batches)     /* batches sealed */                                     \
+  X(agg_msgs)        /* app messages absorbed into batches */                 \
+  X(agg_flush_bytes) /* seals: byte threshold */                              \
+  X(agg_flush_count) /* seals: message-count threshold */                     \
+  X(agg_flush_idle)  /* seals: idle scheduler / DES timer */                  \
+  X(agg_flush_order) /* seals: ordering (bypass/class switch) */
 
-  // Sender-side aggregation (--wire-agg). transport_msgs counts physical
-  // cross-PE wire envelopes (batches count once); agg_msgs counts
-  // application messages that travelled inside a batch. The flush_*
-  // counters break sealed batches down by trigger.
-  std::uint64_t transport_msgs = 0;   ///< physical cross-PE envelopes
-  std::uint64_t agg_batches = 0;      ///< batches sealed
-  std::uint64_t agg_msgs = 0;         ///< app messages absorbed into batches
-  std::uint64_t agg_flush_bytes = 0;  ///< seals: byte threshold
-  std::uint64_t agg_flush_count = 0;  ///< seals: message-count threshold
-  std::uint64_t agg_flush_idle = 0;   ///< seals: idle scheduler / DES timer
-  std::uint64_t agg_flush_order = 0;  ///< seals: ordering (bypass/class switch)
+struct WireStats {
+  CX_TRACE_WIRE_FIELDS(CX_TRACE_U64_FIELD)
 
   /// Mean messages per sealed batch (0 when no batches were sealed).
   [[nodiscard]] double msgs_per_batch() const noexcept {
@@ -204,6 +205,14 @@ struct WireStats {
   }
 };
 
+namespace detail {
+struct WireAtomics { CX_TRACE_WIRE_FIELDS(CX_TRACE_ATOMIC_FIELD) };
+extern WireAtomics g_wire;
+}  // namespace detail
+
+/// Snapshot of the wire counters since begin_run()/reset_stats().
+[[nodiscard]] WireStats wire_stats() noexcept;
+
 // ---- when/wait condition-engine counters ---------------------------------
 //
 // The condition-aware delivery engine (core/when.hpp, delivery.cpp)
@@ -212,12 +221,15 @@ struct WireStats {
 // (relaxed atomic adds, batched per retest pass) so bench/micro_when A/B
 // runs work without --trace.
 
+#define CX_TRACE_WHEN_FIELDS(X)                                               \
+  X(tests)      /* when-predicate evaluations */                              \
+  X(hits)       /* buffered messages released (re-test hit) */                \
+  X(buffered)   /* deliveries that were buffered */                           \
+  X(skipped)    /* re-tests avoided by dependency tracking */                 \
+  X(high_water) /* max buffered messages on one chare */
+
 struct WhenEngineStats {
-  std::uint64_t tests = 0;      ///< when-predicate evaluations
-  std::uint64_t hits = 0;       ///< buffered messages released (re-test hit)
-  std::uint64_t buffered = 0;   ///< deliveries that were buffered
-  std::uint64_t skipped = 0;    ///< re-tests avoided by dependency tracking
-  std::uint64_t high_water = 0; ///< max buffered messages on one chare
+  CX_TRACE_WHEN_FIELDS(CX_TRACE_U64_FIELD)
 
   /// Re-tests avoided as a fraction of all re-test opportunities.
   [[nodiscard]] double skip_rate() const noexcept {
@@ -229,30 +241,22 @@ struct WhenEngineStats {
 };
 
 namespace detail {
-struct WhenAtomics {
-  std::atomic<std::uint64_t> tests{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> buffered{0};
-  std::atomic<std::uint64_t> skipped{0};
-  std::atomic<std::uint64_t> high_water{0};
-
-  void raise_high_water(std::uint64_t depth) noexcept {
-    std::uint64_t cur = high_water.load(std::memory_order_relaxed);
-    while (depth > cur &&
-           !high_water.compare_exchange_weak(cur, depth,
-                                             std::memory_order_relaxed)) {
-    }
-  }
-};
+struct WhenAtomics { CX_TRACE_WHEN_FIELDS(CX_TRACE_ATOMIC_FIELD) };
 extern WhenAtomics g_when;
+
+/// Relaxed CAS-max for the high-water fields: raise `slot` to `v` unless
+/// it already holds more.
+inline void raise_max(std::atomic<std::uint64_t>& slot,
+                      std::uint64_t v) noexcept {
+  std::uint64_t cur = slot.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace detail
 
-/// Snapshot of the condition-engine counters since the last
-/// begin_run()/reset_when_stats().
+/// Snapshot of the when-engine counters since begin_run()/reset_stats().
 [[nodiscard]] WhenEngineStats when_stats() noexcept;
-
-/// Zero the condition-engine counters (begin_run does this too).
-void reset_when_stats() noexcept;
 
 // ---- task-pool engine counters -------------------------------------------
 //
@@ -266,20 +270,23 @@ void reset_when_stats() noexcept;
 /// i holds tasks with execution time in [2^i, 2^(i+1)) ns.
 inline constexpr int kPoolLatBuckets = 48;
 
+#define CX_TRACE_POOL_FIELDS(X)                                               \
+  X(grants)           /* chunk grants sent by the master */                   \
+  X(granted_tasks)    /* tasks covered by those grants */                     \
+  X(max_chunk)        /* largest single grant */                              \
+  X(steal_attempts)   /* steal requests sent by workers */                    \
+  X(steal_hits)       /* steals that returned work */                         \
+  X(stolen_tasks)     /* tasks moved worker-to-worker */                      \
+  X(result_batches)   /* batched result messages */                           \
+  X(tasks_done)       /* task executions (incl. reruns) */                    \
+  X(beats)            /* decoupled heartbeat messages */                      \
+  X(reassigns)        /* steal reassignments at the master */                 \
+  X(inflight_clamps)  /* grants clamped by --pool-max-inflight */             \
+  X(queue_high_water) /* max jobs waiting for processors */                   \
+  X(task_ns_sum)      /* summed task execution nanoseconds */
+
 struct PoolStats {
-  std::uint64_t grants = 0;          ///< chunk grants sent by the master
-  std::uint64_t granted_tasks = 0;   ///< tasks covered by those grants
-  std::uint64_t max_chunk = 0;       ///< largest single grant
-  std::uint64_t steal_attempts = 0;  ///< steal requests sent by workers
-  std::uint64_t steal_hits = 0;      ///< steals that returned work
-  std::uint64_t stolen_tasks = 0;    ///< tasks moved worker-to-worker
-  std::uint64_t result_batches = 0;  ///< batched result messages
-  std::uint64_t tasks_done = 0;      ///< task executions (incl. reruns)
-  std::uint64_t beats = 0;           ///< decoupled heartbeat messages
-  std::uint64_t reassigns = 0;       ///< steal reassignments at the master
-  std::uint64_t inflight_clamps = 0; ///< grants clamped by --pool-max-inflight
-  std::uint64_t queue_high_water = 0;///< max jobs waiting for processors
-  std::uint64_t task_ns_sum = 0;     ///< summed task execution nanoseconds
+  CX_TRACE_POOL_FIELDS(CX_TRACE_U64_FIELD)
   std::uint64_t lat_hist[kPoolLatBuckets] = {0};
 
   /// Mean tasks per grant (0 when no grants went out).
@@ -310,40 +317,16 @@ struct PoolStats {
 
 namespace detail {
 struct PoolAtomics {
-  std::atomic<std::uint64_t> grants{0};
-  std::atomic<std::uint64_t> granted_tasks{0};
-  std::atomic<std::uint64_t> max_chunk{0};
-  std::atomic<std::uint64_t> steal_attempts{0};
-  std::atomic<std::uint64_t> steal_hits{0};
-  std::atomic<std::uint64_t> stolen_tasks{0};
-  std::atomic<std::uint64_t> result_batches{0};
-  std::atomic<std::uint64_t> tasks_done{0};
-  std::atomic<std::uint64_t> beats{0};
-  std::atomic<std::uint64_t> reassigns{0};
-  std::atomic<std::uint64_t> inflight_clamps{0};
-  std::atomic<std::uint64_t> queue_high_water{0};
-  std::atomic<std::uint64_t> task_ns_sum{0};
+  CX_TRACE_POOL_FIELDS(CX_TRACE_ATOMIC_FIELD)
   std::atomic<std::uint64_t> lat_hist[kPoolLatBuckets] = {};
-
-  void raise_max(std::atomic<std::uint64_t>& slot,
-                 std::uint64_t v) noexcept {
-    std::uint64_t cur = slot.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
 
   void note_task(std::uint64_t ns) noexcept;
 };
 extern PoolAtomics g_pool;
 }  // namespace detail
 
-/// Snapshot of the pool counters since the last
-/// begin_run()/reset_pool_stats().
+/// Snapshot of the pool counters since begin_run()/reset_stats().
 [[nodiscard]] PoolStats pool_stats() noexcept;
-
-/// Zero the pool counters (begin_run does this too).
-void reset_pool_stats() noexcept;
 
 /// One completed pool job, recorded by the master at job completion.
 /// Times come from the backend clock (virtual on the simulator).
@@ -366,39 +349,8 @@ struct PoolJobRecord {
 /// Append one job record (called by the pool master; mutex-guarded).
 void pool_job_note(const PoolJobRecord& rec);
 
-/// Job records accumulated since begin_run()/reset_pool_stats().
+/// Job records accumulated since begin_run()/reset_stats().
 [[nodiscard]] std::vector<PoolJobRecord> pool_job_records();
-
-namespace detail {
-struct WireAtomics {
-  std::atomic<std::uint64_t> envelopes{0};
-  std::atomic<std::uint64_t> bytes_packed{0};
-  std::atomic<std::uint64_t> sbo_payloads{0};
-  std::atomic<std::uint64_t> buf_allocs{0};
-  std::atomic<std::uint64_t> buf_hits{0};
-  std::atomic<std::uint64_t> buf_recycled{0};
-  std::atomic<std::uint64_t> msg_allocs{0};
-  std::atomic<std::uint64_t> msg_hits{0};
-  std::atomic<std::uint64_t> msg_recycled{0};
-  std::atomic<std::uint64_t> env_allocs{0};
-  std::atomic<std::uint64_t> env_hits{0};
-  std::atomic<std::uint64_t> transport_msgs{0};
-  std::atomic<std::uint64_t> agg_batches{0};
-  std::atomic<std::uint64_t> agg_msgs{0};
-  std::atomic<std::uint64_t> agg_flush_bytes{0};
-  std::atomic<std::uint64_t> agg_flush_count{0};
-  std::atomic<std::uint64_t> agg_flush_idle{0};
-  std::atomic<std::uint64_t> agg_flush_order{0};
-};
-extern WireAtomics g_wire;
-}  // namespace detail
-
-/// Snapshot of the wire counters accumulated since the last
-/// begin_run()/reset_wire_stats().
-[[nodiscard]] WireStats wire_stats() noexcept;
-
-/// Zero the wire counters (begin_run does this too).
-void reset_wire_stats() noexcept;
 
 // ---- chare-array section counters ----------------------------------------
 //
@@ -408,45 +360,36 @@ void reset_wire_stats() noexcept;
 // have cost, and section-reduction traffic. Always on (relaxed atomic
 // adds) so bench/micro_section A/B runs work without --trace.
 
-struct SectionStats {
-  std::uint64_t sections_built = 0;   ///< section_create calls
-  std::uint64_t tree_repairs = 0;     ///< delivery splits rebuilt post-migration
-  std::uint64_t mcasts = 0;           ///< multicasts initiated
-  std::uint64_t mcast_envelopes = 0;  ///< envelopes sent by section multicast
-  /// Envelopes a naive broadcast+filter would have needed minus what the
-  /// section tree used, accumulated at the tree root per multicast.
-  std::uint64_t envelopes_saved = 0;
-  std::uint64_t contributions = 0;    ///< section contribute calls
-  std::uint64_t red_fragments = 0;    ///< combined fragments sent up tree edges
-  std::uint64_t reductions_done = 0;  ///< section reductions delivered at root
-};
+#define CX_TRACE_SECTION_FIELDS(X)                                            \
+  X(sections_built)  /* section_create calls */                               \
+  X(tree_repairs)    /* delivery splits rebuilt post-migration */             \
+  X(mcasts)          /* multicasts initiated */                               \
+  X(mcast_envelopes) /* envelopes sent by section multicast */                \
+  /* Envelopes a naive broadcast+filter would have needed minus what the      \
+     section tree used, accumulated at the tree root per multicast. */        \
+  X(envelopes_saved)                                                          \
+  X(contributions)   /* section contribute calls */                           \
+  X(red_fragments)   /* combined fragments sent up tree edges */              \
+  X(reductions_done) /* section reductions delivered at root */
+
+struct SectionStats { CX_TRACE_SECTION_FIELDS(CX_TRACE_U64_FIELD) };
 
 namespace detail {
-struct SectionAtomics {
-  std::atomic<std::uint64_t> sections_built{0};
-  std::atomic<std::uint64_t> tree_repairs{0};
-  std::atomic<std::uint64_t> mcasts{0};
-  std::atomic<std::uint64_t> mcast_envelopes{0};
-  std::atomic<std::uint64_t> envelopes_saved{0};
-  std::atomic<std::uint64_t> contributions{0};
-  std::atomic<std::uint64_t> red_fragments{0};
-  std::atomic<std::uint64_t> reductions_done{0};
-};
+struct SectionAtomics { CX_TRACE_SECTION_FIELDS(CX_TRACE_ATOMIC_FIELD) };
 extern SectionAtomics g_section;
 }  // namespace detail
 
-/// Snapshot of the section counters accumulated since the last
-/// begin_run()/reset_section_stats().
+/// Snapshot of the section counters since begin_run()/reset_stats().
 [[nodiscard]] SectionStats section_stats() noexcept;
 
-/// Zero the section counters (begin_run does this too).
-void reset_section_stats() noexcept;
+/// Zero every stat family and the pool job records (begin_run does too).
+void reset_stats() noexcept;
 
 struct Config {
   bool enabled = false;
   std::string out_path = "trace.json";
-  /// Ring capacity in events per PE; the oldest events are overwritten
-  /// (and counted as dropped) once a PE exceeds it.
+  /// Ring capacity in events per PE (at least 1); the oldest events are
+  /// overwritten (and counted as dropped) once a PE exceeds it.
   std::size_t buffer_events = 1u << 16;
   bool print_summary = true;
 };
@@ -456,6 +399,7 @@ struct Config {
 void configure(Config cfg);
 
 /// Read --trace, --trace-out=<path>, --trace-buffer=<events> and install.
+/// Throws std::invalid_argument for a --trace-buffer below 1.
 void configure_from_options(const cxu::Options& opt);
 
 [[nodiscard]] const Config& config() noexcept;
@@ -513,14 +457,14 @@ void reset();
 // Hook macros — compiled out with -DCHARMX_TRACE_DISABLED; otherwise the
 // disabled-at-runtime cost is one branch.
 #ifndef CHARMX_TRACE_DISABLED
-#define CX_TRACE_EVENT(pe, t, kind, a, b)                      \
+#define CX_TRACE_EVENT(pe, t, kind, a, b)                                     \
   do {                                                         \
     if (::cx::trace::enabled()) {                              \
-      ::cx::trace::record((pe), (t), (kind), (a), (b));        \
+      ::cx::trace::record((pe), (t), (kind), (a), (b));                       \
     }                                                          \
   } while (0)
 #else
-#define CX_TRACE_EVENT(pe, t, kind, a, b) \
+#define CX_TRACE_EVENT(pe, t, kind, a, b)                                     \
   do {                                    \
   } while (0)
 #endif

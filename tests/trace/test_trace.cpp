@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/charm.hpp"
 #include "model/cpy.hpp"
 #include "test_helpers.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -246,6 +250,120 @@ TEST(Trace, DynamicDispatchAndPoolEventsAreRecorded) {
     cx::exit();
   });
   EXPECT_GE(trace::aggregate().dyn_dispatches, 4u);
+}
+
+/// Top-level keys of the JSON object that follows `"name":` in `json`
+/// (nested objects and arrays are skipped; values here are never strings).
+std::set<std::string> object_keys(const std::string& json,
+                                  const std::string& name) {
+  std::set<std::string> keys;
+  std::size_t i = json.find("\"" + name + "\":{");
+  if (i == std::string::npos) return keys;
+  i += name.size() + 4;
+  for (int depth = 0; i < json.size() && depth >= 0; ++i) {
+    const char c = json[i];
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') --depth;
+    if (c == '"' && depth == 0) {
+      const std::size_t end = json.find('"', i + 1);
+      keys.insert(json.substr(i + 1, end - i - 1));
+      i = end;
+    }
+  }
+  return keys;
+}
+
+TEST(Trace, JsonCarriesEveryCounter) {
+  TraceOn on;
+  trace::begin_run(1, false);
+  std::ostringstream os;
+  trace::write_json(os);
+  const std::string json = os.str();
+  const std::set<std::string> total = {
+      "msgs_sent", "bytes_sent", "msgs_recv", "bytes_recv", "entries",
+      "entry_time", "idle_time", "idle_spans", "when_buffered",
+      "reductions_contributed", "reductions_delivered", "migrations_out",
+      "migrations_in", "lb_decisions", "fiber_suspends", "fiber_resumes",
+      "dyn_dispatches", "pool_jobs_queued", "pool_jobs_started",
+      "pool_jobs_done", "ft_drops", "ft_acks", "ft_retransmits",
+      "ft_failures", "ft_checkpoints", "ft_restores", "ft_resubmits",
+      "ft_detections", "ft_detect_latency_s", "ft_recoveries", "ft_mttr_s",
+      "dropped_events", "entry_hist_us"};
+  const std::set<std::string> when = {"tests",    "hits",      "buffered",
+                                      "skipped",  "skip_rate", "high_water"};
+  const std::set<std::string> wire = {
+      "envelopes", "bytes_packed", "sbo_payloads", "buf_allocs", "buf_hits",
+      "buf_recycled", "msg_allocs", "msg_hits", "msg_recycled", "env_allocs",
+      "env_hits", "pool_hit_rate", "transport_msgs", "agg_batches",
+      "agg_msgs", "agg_flush_bytes", "agg_flush_count", "agg_flush_idle",
+      "agg_flush_order"};
+  const std::set<std::string> sections = {
+      "sections_built", "tree_repairs",  "mcasts",        "mcast_envelopes",
+      "envelopes_saved", "contributions", "red_fragments", "reductions_done"};
+  const std::set<std::string> pool = {
+      "grants", "granted_tasks", "mean_chunk", "max_chunk", "steal_attempts",
+      "steal_hits", "steal_hit_rate", "stolen_tasks", "result_batches",
+      "tasks_done", "beats", "reassigns", "inflight_clamps",
+      "queue_high_water", "mean_task_s", "p99_task_s", "jobs"};
+  EXPECT_EQ(object_keys(json, "total"), total);
+  EXPECT_EQ(object_keys(json, "when"), when);
+  EXPECT_EQ(object_keys(json, "wire"), wire);
+  EXPECT_EQ(object_keys(json, "sections"), sections);
+  std::set<std::string> pool_keys = object_keys(json, "pool");
+  pool_keys.erase("task_ns_sum");  // the one key allowed beyond the schema
+  EXPECT_EQ(pool_keys, pool);
+  // Every kind has its own name in the timeline.
+  std::set<std::string> names;
+  const int last = static_cast<int>(trace::EventKind::FtRecover);
+  for (int k = 0; k <= last; ++k) {
+    const std::string n = trace::kind_name(static_cast<trace::EventKind>(k));
+    EXPECT_NE(n, "unknown") << "kind " << k;
+    names.insert(n);
+  }
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(last + 1));
+}
+
+TEST(Trace, JsonTimestampsRoundTrip) {
+  TraceOn on;
+  trace::begin_run(1, false);
+  trace::record(0, 12.345678901234, trace::EventKind::MsgSend, 1, 2);
+  std::ostringstream os;
+  trace::write_json(os);
+  const std::string json = os.str();
+  const std::size_t at = json.find("\"t\":");
+  ASSERT_NE(at, std::string::npos);
+  const double t = std::stod(json.substr(at + 4));
+  EXPECT_EQ(t, trace::events(0)[0].time);
+}
+
+TEST(Trace, TraceBufferBelowOneIsRejected) {
+  for (const char* value : {"-5", "0"}) {
+    SCOPED_TRACE(value);
+    char prog[] = "prog";
+    char flag[] = "--trace-buffer";
+    std::string v = value;
+    char* argv[] = {prog, flag, v.data()};
+    const cxu::Options opt(3, argv);
+    try {
+      trace::configure_from_options(opt);
+      ADD_FAILURE() << "--trace-buffer " << value << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--trace-buffer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  trace::reset();
+}
+
+TEST(Trace, HugeBufferClampsInsteadOfOverflowing) {
+  // 2^62 events/PE times 4 PEs wraps a 64-bit product to 0; the clamp
+  // must still apply (the ring is capped, not sized to 2^62).
+  TraceOn on(std::size_t{1} << 62);
+  ASSERT_NO_THROW(trace::begin_run(4, false));
+  trace::record(3, 1.0, trace::EventKind::Idle, 5, 0);
+  ASSERT_EQ(trace::events(3).size(), 1u);
+  EXPECT_EQ(trace::counters(3).idle_spans, 1u);
 }
 
 }  // namespace

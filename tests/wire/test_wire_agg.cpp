@@ -237,7 +237,7 @@ RingRun run_ring(cx::RuntimeConfig cfg, bool agg_on, int msgs,
                  bool strict = true) {
   AggGuard guard;
   set_agg_enabled(agg_on);
-  cx::trace::reset_wire_stats();
+  cx::trace::reset_stats();
   RingRun out;
   cx::Runtime rt(cfg);
   rt.run([&] {

@@ -87,7 +87,7 @@ TEST(WirePool, ReuseServesFromCacheAndCounts) {
   const bool saved = pool_enabled();
   set_pool_enabled(true);
   drain_caches();
-  cx::trace::reset_wire_stats();
+  cx::trace::reset_stats();
 
   std::size_t cap1 = 0;
   std::byte* p1 = alloc_block(512, &cap1);
@@ -111,7 +111,7 @@ TEST(WirePool, MessageObjectsRecycle) {
   const bool saved = pool_enabled();
   set_pool_enabled(true);
   drain_caches();
-  cx::trace::reset_wire_stats();
+  cx::trace::reset_stats();
 
   {
     auto m1 = std::make_unique<cxm::Message>();
@@ -201,7 +201,7 @@ void run_backend_traffic(cxm::Backend backend, bool pooled) {
 }
 
 TEST(WirePool, ThreadedBackendTrafficPooled) {
-  cx::trace::reset_wire_stats();
+  cx::trace::reset_stats();
   run_backend_traffic(cxm::Backend::Threaded, true);
   const cx::trace::WireStats w = cx::trace::wire_stats();
   // Warm pool: messages and large payload blocks must actually recycle.
