@@ -8,6 +8,7 @@
 
 #include "core/future.hpp"
 #include "core/runtime_impl.hpp"
+#include "util/log.hpp"
 
 namespace cx {
 
@@ -95,7 +96,11 @@ void Runtime::Impl::on_bcast(MessagePtr msg) {
     return;
   }
   CollMeta& cm = it->second;
-  const EpInfo& info = Registry::instance().ep(h.ep);
+  const EpInfo* info = Registry::instance().find_ep(h.ep);
+  if (info == nullptr) {
+    CX_LOG_ERROR("dropping broadcast with unknown entry-method id ", h.ep);
+    return;
+  }
   // Deliver to each local element with a freshly unpacked argument tuple.
   std::vector<Chare*> local;
   local.reserve(cm.elements.size());
@@ -104,8 +109,8 @@ void Runtime::Impl::on_bcast(MessagePtr msg) {
     pup::Unpacker ue(msg->data.data(), msg->data.size());
     BcastHeader dummy;
     ue | dummy;
-    auto tuple = info.unpack(ue);
-    deliver(obj, h.ep, std::move(tuple), {}, h.reply);
+    auto tuple = info->unpack(ue);
+    deliver(obj, *info, h.ep, std::move(tuple), {}, h.reply);
   }
 }
 

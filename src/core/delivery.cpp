@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/runtime_impl.hpp"
+#include "util/log.hpp"
 
 namespace cx {
 
@@ -66,7 +67,7 @@ thread_local EnvCache t_env_cache;
 }  // namespace
 
 LocalEnvelope* acquire_envelope() {
-  auto& w = cx::trace::detail::g_wire;
+  auto& w = cx::trace::detail::wire();
   if (wire::pool_enabled() && !t_env_cache.free.empty()) {
     LocalEnvelope* e = t_env_cache.free.back();
     t_env_cache.free.pop_back();
@@ -143,17 +144,17 @@ void Runtime::Impl::resume_fiber(Fiber* f) {
 
 // ---- delivery / execution -------------------------------------------------
 
-void Runtime::Impl::deliver(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-                            const ReplyTo& reply, const ReplyTo& bdone) {
-  const EpInfo& info = Registry::instance().ep(ep);
+void Runtime::Impl::deliver(Chare* obj, const EpInfo& info, EpId ep,
+                            std::shared_ptr<void> tuple, const ReplyTo& reply,
+                            const ReplyTo& bdone) {
   if (info.when) {
-    cx::trace::detail::g_when.tests.fetch_add(1, std::memory_order_relaxed);
+    cx::trace::detail::when().tests.fetch_add(1, std::memory_order_relaxed);
     if (!info.when(obj, tuple.get())) {
       buffer_invoke(obj, info, ep, std::move(tuple), reply, bdone);
       return;
     }
   }
-  execute(obj, ep, std::move(tuple), reply, bdone);
+  execute(obj, info, ep, std::move(tuple), reply, bdone);
 }
 
 /// Resolve the dependency set of `ep`'s when condition for this message,
@@ -209,7 +210,7 @@ void Runtime::Impl::buffer_invoke(Chare* obj, const EpInfo& info, EpId ep,
   if (b.q.empty()) b.floor = pi.tested_at;
   b.q.push_back(std::move(pi));
   buf.total++;
-  auto& w = cx::trace::detail::g_when;
+  auto& w = cx::trace::detail::when();
   w.buffered.fetch_add(1, std::memory_order_relaxed);
   cx::trace::detail::raise_max(w.high_water, buf.total);
   CX_TRACE_EVENT(mype(), machine->now(), cx::trace::EventKind::WhenBuffer,
@@ -265,6 +266,7 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
     }
     const std::uint64_t now = obj->dirty_.now();
     PendingInvoke* best = nullptr;
+    const EpInfo* best_info = nullptr;
     WhenBuffer::Bucket* best_bucket = nullptr;
     std::size_t best_pos = 0;
     for (auto& b : buf.buckets) {
@@ -274,6 +276,7 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
         // Predicate cleared while buffered: the whole bucket is eligible.
         if (best == nullptr || b.q.front().seq < best->seq) {
           best = &b.q.front();
+          best_info = &info;
           best_bucket = &b;
           best_pos = 0;
         }
@@ -317,6 +320,7 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
         ++n_tests;
         if (info.when(obj, pi.args.get())) {
           best = &pi;
+          best_info = &info;
           best_bucket = &b;
           best_pos = pos;
           break;  // seq-ascending: first passer is this bucket's earliest
@@ -335,23 +339,24 @@ void Runtime::Impl::retest_buffered(Chare* obj) {
     buf.total--;
     if (pi.deps == nullptr) buf.unknown--;
     ++n_hits;
-    execute(obj, pi.ep, std::move(pi.args), pi.reply, pi.bcast_done);
+    execute(obj, *best_info, pi.ep, std::move(pi.args), pi.reply,
+            pi.bcast_done);
   }
   if (n_tests + n_hits + n_skipped != 0) {
-    auto& w = cx::trace::detail::g_when;
+    auto& w = cx::trace::detail::when();
     w.tests.fetch_add(n_tests, std::memory_order_relaxed);
     w.hits.fetch_add(n_hits, std::memory_order_relaxed);
     w.skipped.fetch_add(n_skipped, std::memory_order_relaxed);
   }
 }
 
-void Runtime::Impl::execute(Chare* obj, EpId ep, std::shared_ptr<void> tuple,
-                            const ReplyTo& reply, const ReplyTo& bdone) {
-  const EpInfo& info = Registry::instance().ep(ep);
+void Runtime::Impl::execute(Chare* obj, const EpInfo& info, EpId ep,
+                            std::shared_ptr<void> tuple, const ReplyTo& reply,
+                            const ReplyTo& bdone) {
   const CollectionId coll = obj->coll_;
-  auto body = [this, obj, ep, tuple = std::move(tuple), reply, bdone,
-               coll]() {
-    Registry::instance().ep(ep).invoke(obj, tuple.get(), reply);
+  auto body = [this, obj, invoke = info.invoke, tuple = std::move(tuple),
+               reply, bdone, coll]() {
+    invoke(obj, tuple.get(), reply);
     if (bdone.valid()) {
       BcastDoneHeader h;
       h.coll = coll;
@@ -467,8 +472,8 @@ void Runtime::Impl::on_local(MessagePtr msg) {
       }
       CollMeta& cm = it->second;
       if (Chare* obj = find_local(cm, env->idx)) {
-        deliver(obj, env->ep, std::move(env->tuple), env->reply,
-                env->bcast_done);
+        deliver(obj, Registry::instance().ep(env->ep), env->ep,
+                std::move(env->tuple), env->reply, env->bcast_done);
       } else {
         // Element moved between send and delivery: fall back to bytes.
         route_entry_msg(cm, env->idx, to_remote());
@@ -494,9 +499,14 @@ void Runtime::Impl::on_entry(MessagePtr msg) {
   }
   CollMeta& cm = it->second;
   if (Chare* obj = find_local(cm, h.idx)) {
-    const EpInfo& info = Registry::instance().ep(h.ep);
-    auto tuple = info.unpack(u);
-    deliver(obj, h.ep, std::move(tuple), h.reply, h.bcast_done);
+    const EpInfo* info = Registry::instance().find_ep(h.ep);
+    if (info == nullptr) {
+      CX_LOG_ERROR("dropping entry message with unknown entry-method id ",
+                   h.ep);
+      return;
+    }
+    auto tuple = info->unpack(u);
+    deliver(obj, *info, h.ep, std::move(tuple), h.reply, h.bcast_done);
   } else {
     route_entry_msg(cm, h.idx, std::move(msg));
   }

@@ -95,7 +95,12 @@ void Runtime::Impl::do_migrate(Chare* obj, int to_pe, bool for_lb) {
   // arrival order (they re-enter deliver() there and are re-tested
   // against a fresh dirty clock).
   obj->buffered_.for_each_in_order([&](PendingInvoke& pi) {
-    const EpInfo& info = Registry::instance().ep(pi.ep);
+    const EpInfo* info = Registry::instance().find_ep(pi.ep);
+    if (info == nullptr) {
+      CX_LOG_ERROR("dropping buffered message with unknown entry-method id ",
+                   pi.ep);
+      return;
+    }
     EntryHeader eh;
     eh.coll = coll;
     eh.idx = idx;
@@ -103,7 +108,7 @@ void Runtime::Impl::do_migrate(Chare* obj, int to_pe, bool for_lb) {
     eh.reply = pi.reply;
     eh.bcast_done = pi.bcast_done;
     rt_send(wire::make_msg_pup(h_entry, to_pe, eh, [&](pup::Er& p) {
-      info.pup_args(pi.args.get(), p);
+      info->pup_args(pi.args.get(), p);
     }));
   });
   obj->buffered_.clear();
@@ -142,6 +147,11 @@ void Runtime::Impl::on_create(MessagePtr msg) {
   CreateHeader h = pup::from_bytes<CreateHeader>(msg->data);
   // Forward down the creation tree first.
   forward_tree(h_create, h.root, msg->data);
+  if (Registry::instance().find_factory(h.info.ctor) == nullptr) {
+    CX_LOG_ERROR("dropping creation of collection ", h.info.id,
+                 " with unknown constructor id ", h.info.ctor);
+    return;
+  }
   auto& cm = me().colls[h.info.id];
   cm.info = h.info;
   switch (h.info.kind) {
@@ -254,10 +264,15 @@ void Runtime::Impl::on_insert(MessagePtr msg) {
     }
     return;
   }
+  const FactoryInfo* fac = Registry::instance().find_factory(h.ctor);
+  if (fac == nullptr) {
+    CX_LOG_ERROR("dropping insert of ", h.idx.to_string(),
+                 " with unknown constructor id ", h.ctor);
+    return;
+  }
   staged_coll() = h.coll;
   staged_idx() = h.idx;
-  const auto& fac = Registry::instance().factory(h.ctor);
-  Chare* obj = fac.construct(args, args_len);
+  Chare* obj = fac->construct(args, args_len);
   staged_coll() = kInvalidCollection;
   cm.elements[h.idx].reset(obj);
   flush_pending(cm, h.idx);

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -25,6 +24,7 @@
 #include "core/ids.hpp"
 #include "core/index.hpp"
 #include "pup/pup.hpp"
+#include "util/id_table.hpp"
 
 namespace cx {
 
@@ -36,16 +36,27 @@ using CombineFn =
     std::function<std::vector<std::byte>(const std::vector<std::byte>&,
                                          const std::vector<std::byte>&)>;
 
-/// Process-global combiner registry. Backed by a deque so references
-/// stay valid while other threads register combiners lazily.
+/// Process-global combiner registry. Lookups take no lock
+/// (cxu::IdTable), and references stay valid while other threads
+/// register combiners lazily.
 class CombinerRegistry {
  public:
-  static CombinerRegistry& instance();
-  CombineId add(CombineFn fn);
-  [[nodiscard]] const CombineFn& get(CombineId id) const;
+  static CombinerRegistry& instance() {
+    static CombinerRegistry r;
+    return r;
+  }
+  CombineId add(CombineFn fn) { return fns_.add(std::move(fn)); }
+  /// Throws std::out_of_range for an unknown id.
+  [[nodiscard]] const CombineFn& get(CombineId id) const {
+    return fns_.at(id);
+  }
+  /// nullptr for an unknown id.
+  [[nodiscard]] const CombineFn* find(CombineId id) const noexcept {
+    return fns_.find(id);
+  }
 
  private:
-  std::deque<CombineFn> fns_;
+  cxu::IdTable<CombineFn> fns_;
 };
 
 /// Register a typed binary reducer; `fn(T& acc, const T& x)` folds x into

@@ -13,11 +13,9 @@
 //   set_when<&C::m>(predicate) — deliver only when predicate(chare, args)
 //                                holds; otherwise buffer at the receiver.
 
-#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
@@ -26,6 +24,7 @@
 #include "core/ids.hpp"
 #include "core/when.hpp"
 #include "pup/pup.hpp"
+#include "util/id_table.hpp"
 
 namespace cx {
 
@@ -94,23 +93,39 @@ struct FactoryInfo {
 
 /// Global append-only registry (process-wide; ids are stable across
 /// Runtime instances, which matters for tests running many runtimes).
-/// Deque storage keeps references valid under concurrent lazy
-/// registration from PE threads.
+/// Lookups take no lock (cxu::IdTable): every delivered message reads
+/// it, from every PE thread. References stay valid under concurrent
+/// lazy registration from PE threads.
 class Registry {
  public:
-  static Registry& instance();
+  static Registry& instance() {
+    static Registry r;
+    return r;
+  }
 
-  EpId add_ep(EpInfo info);
-  FactoryId add_factory(FactoryInfo info);
+  EpId add_ep(EpInfo info) { return eps_.add(std::move(info)); }
+  FactoryId add_factory(FactoryInfo info) {
+    return factories_.add(std::move(info));
+  }
 
-  [[nodiscard]] const EpInfo& ep(EpId id) const;
+  /// Throw std::out_of_range for an unknown id.
+  [[nodiscard]] const EpInfo& ep(EpId id) const { return eps_.at(id); }
+  [[nodiscard]] const FactoryInfo& factory(FactoryId id) const {
+    return factories_.at(id);
+  }
+  /// nullptr for an unknown id: the lookup for ids read off a message,
+  /// which a peer can fill with anything.
+  [[nodiscard]] const EpInfo* find_ep(EpId id) const noexcept {
+    return eps_.find(id);
+  }
+  [[nodiscard]] const FactoryInfo* find_factory(FactoryId id) const noexcept {
+    return factories_.find(id);
+  }
   [[nodiscard]] EpInfo& mutable_ep(EpId id);
-  [[nodiscard]] const FactoryInfo& factory(FactoryId id) const;
 
  private:
-  mutable std::mutex mutex_;
-  std::deque<EpInfo> eps_;
-  std::deque<FactoryInfo> factories_;
+  cxu::IdTable<EpInfo> eps_;
+  cxu::IdTable<FactoryInfo> factories_;
 };
 
 namespace detail {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/runtime_impl.hpp"
+#include "util/log.hpp"
 
 namespace cx {
 
@@ -90,7 +91,7 @@ void Runtime::Impl::sect_refresh_routes(SectMeta& sm, CollMeta& cm) {
   }
   sm.routes_built = true;
   sm.routes_epoch = sm.epoch;
-  if (repair) bump(cx::trace::detail::g_section.tree_repairs);
+  if (repair) bump(cx::trace::detail::section().tree_repairs);
 }
 
 void Runtime::Impl::invalidate_section_routes(CollectionId coll,
@@ -193,13 +194,18 @@ void Runtime::Impl::on_sect_bcast(MessagePtr msg) {
     const std::uint64_t actual = 1 +
                                  static_cast<std::uint64_t>(t.size() - 1) +
                                  credits + (expect ? 1 : 0);
-    bump(cx::trace::detail::g_section.mcast_envelopes, actual);
+    bump(cx::trace::detail::section().mcast_envelopes, actual);
     if (naive > actual) {
-      bump(cx::trace::detail::g_section.envelopes_saved, naive - actual);
+      bump(cx::trace::detail::section().envelopes_saved, naive - actual);
     }
   }
   sect_refresh_routes(sm, cm);
-  const EpInfo& info = Registry::instance().ep(h.ep);
+  const EpInfo* info = Registry::instance().find_ep(h.ep);
+  if (info == nullptr) {
+    CX_LOG_ERROR("dropping section multicast with unknown entry-method id ",
+                 h.ep);
+    return;
+  }
   // Route a member's delivery through the location manager as packed
   // bytes (used for migrated-away members, and as the fallback when a
   // present member moves mid-loop).
@@ -219,8 +225,8 @@ void Runtime::Impl::on_sect_bcast(MessagePtr msg) {
       pup::Unpacker ue(msg->data.data(), msg->data.size());
       SectBcastHeader dummy;
       ue | dummy;
-      auto tuple = info.unpack(ue);
-      deliver(obj, h.ep, std::move(tuple), {}, h.reply);
+      auto tuple = info->unpack(ue);
+      deliver(obj, *info, h.ep, std::move(tuple), {}, h.reply);
     } else {
       route_away(idx);
     }
@@ -270,11 +276,11 @@ void Runtime::Impl::on_sect_reduce(MessagePtr msg) {
   RedState& done = node.mapped();
   const tree::SpanningTree t = section_tree(sm.spec);
   if (t.pos_of(mype()) == 0) {
-    bump(cx::trace::detail::g_section.reductions_done);
+    bump(cx::trace::detail::section().reductions_done);
     deliver_callback(done.cb, std::move(done.acc));
     return;
   }
-  bump(cx::trace::detail::g_section.red_fragments);
+  bump(cx::trace::detail::section().red_fragments);
   SectReduceHeader up = h;
   up.count = done.count;
   up.cb = done.cb;
@@ -337,7 +343,7 @@ SectionHandle section_create(CollectionId coll, std::vector<Index> members) {
   } else {
     handle.root = I.mype();
   }
-  bump(cx::trace::detail::g_section.sections_built);
+  bump(cx::trace::detail::section().sections_built);
   SectBuildHeader bh;
   bh.spec = std::move(spec);
   I.rt_send(wire::make_msg(I.h_sect_build, I.mype(), bh));
@@ -351,7 +357,7 @@ void section_broadcast(std::uint64_t sect, CollectionId coll,
   if (sect == 0 || root < 0) {
     throw std::logic_error("broadcast on an invalid section proxy");
   }
-  bump(cx::trace::detail::g_section.mcasts);
+  bump(cx::trace::detail::section().mcasts);
   SectBcastHeader h;
   h.sect = sect;
   h.coll = coll;
@@ -369,7 +375,7 @@ void section_contribute_bytes(Chare& chare, std::uint64_t sect,
   if (sect == 0) {
     throw std::logic_error("contribute to an invalid section proxy");
   }
-  bump(cx::trace::detail::g_section.contributions);
+  bump(cx::trace::detail::section().contributions);
   SectReduceHeader h;
   h.sect = sect;
   h.coll = chare.collection();

@@ -152,7 +152,7 @@ void SimMachine::send(MessagePtr msg) {
                      static_cast<std::uint64_t>(dst), msg->wire_size());
     }
     if (dst != src && msg->local == nullptr) {
-      cx::trace::detail::g_wire.transport_msgs.fetch_add(
+      cx::trace::detail::wire().transport_msgs.fetch_add(
           1, std::memory_order_relaxed);
     }
   }

@@ -229,7 +229,7 @@ void SocketMachine::send(MessagePtr msg) {
                    static_cast<std::uint64_t>(dst), msg->wire_size());
   }
   if (src >= 0 && dst != src && msg->local == nullptr) {
-    cx::trace::detail::g_wire.transport_msgs.fetch_add(
+    cx::trace::detail::wire().transport_msgs.fetch_add(
         1, std::memory_order_relaxed);
   }
   if (ft_enabled_ && src >= 0 && dst != src && !msg->local) {

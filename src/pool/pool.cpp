@@ -240,7 +240,7 @@ void seek_work(DChare& self) {
       const std::int64_t token = self["steal_token"].as_int() + 1;
       self["steal_token"] = Value(token);
       self["steal_pending"] = Value(1);
-      cx::trace::detail::g_pool.steal_attempts.fetch_add(
+      cx::trace::detail::pool().steal_attempts.fetch_add(
           1, std::memory_order_relaxed);
       auto workers = cpy::collection_proxy_of(self);
       workers[cx::Index(static_cast<int>(victim))].send(
@@ -377,7 +377,7 @@ void define_worker() {
         fail_job_locally(self, e.what());
         return Value::none();
       }
-      cx::trace::detail::g_pool.note_task(
+      cx::trace::detail::pool().note_task(
           static_cast<std::uint64_t>((cx::now() - t0) * 1e9));
       ranges_mut(self["rids"]).push_back(id);
       ranges_mut(self["rids"]).push_back(1);
@@ -429,7 +429,7 @@ void define_worker() {
     if (stale_job(self, a[0])) return Value::none();
     self["steal_pending"] = Value(0);
     self["steal_tries"] = Value(0);
-    auto& p = cx::trace::detail::g_pool;
+    auto& p = cx::trace::detail::pool();
     p.steal_hits.fetch_add(1, std::memory_order_relaxed);
     p.stolen_tasks.fetch_add(
         static_cast<std::uint64_t>(ranges_count(ranges_of(a[1]))),
@@ -479,7 +479,7 @@ void define_worker() {
           .send("beat",
                 {Value(my_index(self)), Value(next_heartbeat(self))});
     }
-    cx::trace::detail::g_pool.beats.fetch_add(1,
+    cx::trace::detail::pool().beats.fetch_add(1,
                                               std::memory_order_relaxed);
     arm_beat(self);
     return Value::none();
@@ -540,7 +540,7 @@ Ranges take_grant(Dict& job, std::int64_t pe) {
     sz = std::min((avail + 2 * procs - 1) / (2 * procs), kMaxAutoChunk);
   }
   sz = std::max<std::int64_t>(1, std::min(sz, avail));
-  auto& p = cx::trace::detail::g_pool;
+  auto& p = cx::trace::detail::pool();
   if (cfg.max_inflight > 0) {
     const std::int64_t budget = cfg.max_inflight - job_inflight(job);
     if (sz > budget) {
@@ -760,7 +760,7 @@ void define_manager() {
             // otherwise it waits for a running job to release some. This
             // is what keeps a saturated pool deadlock-free.
             self["queued"].as_list().emplace_back(job_id);
-            auto& p = cx::trace::detail::g_pool;
+            auto& p = cx::trace::detail::pool();
             cx::trace::detail::raise_max(p.queue_high_water,
                                          self["queued"].length());
             CX_TRACE_EVENT(cx::my_pe(), cx::now(),
@@ -815,7 +815,7 @@ void define_manager() {
             const auto jit = jobs.find(key);
             if (jit == jobs.end()) return Value::none();  // job resolved
             auto& job = jit->second.as_dict();
-            cx::trace::detail::g_pool.result_batches.fetch_add(
+            cx::trace::detail::pool().result_batches.fetch_add(
                 1, std::memory_order_relaxed);
             auto& done = job["done"].as_list();
             auto& results = job["results"].as_list();
@@ -920,7 +920,7 @@ void define_manager() {
                 }
               }
             }
-            cx::trace::detail::g_pool.reassigns.fetch_add(
+            cx::trace::detail::pool().reassigns.fetch_add(
                 moved, std::memory_order_relaxed);
             return Value::none();
           });

@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -61,6 +62,11 @@ class Er {
 
   /// Traverse `n` raw bytes at `p` (read on pack, write on unpack).
   virtual void bytes(void* p, std::size_t n) = 0;
+
+  /// Bytes an unpacking traversal may still read; unbounded otherwise.
+  [[nodiscard]] virtual std::size_t remaining() const noexcept {
+    return std::numeric_limits<std::size_t>::max();
+  }
 
  protected:
   explicit Er(Mode m) : mode_(m) {}
@@ -106,9 +112,12 @@ class Unpacker final : public Er {
         buf_(static_cast<const std::byte*>(buf)),
         len_(len) {}
   void bytes(void* p, std::size_t n) override {
-    if (off_ + n > len_) throw std::length_error("pup::Unpacker underflow");
+    if (n > len_ - off_) throw std::length_error("pup::Unpacker underflow");
     std::memcpy(p, buf_ + off_, n);
     off_ += n;
+  }
+  [[nodiscard]] std::size_t remaining() const noexcept override {
+    return len_ - off_;
   }
   [[nodiscard]] std::size_t offset() const noexcept { return off_; }
 
@@ -138,19 +147,43 @@ inline void operator|(Er& p, T& t) {
   t.pup(p);
 }
 
+/// Fewest bytes one packed T takes: its size if T packs raw, else one.
+template <typename T>
+constexpr std::size_t min_packed_size() {
+  if constexpr (TriviallyPuppable<T>) {
+    return sizeof(T);
+  } else {
+    return 1;
+  }
+}
+
+/// Reject a decoded element count whose elements, `elem_bytes` each at
+/// the least, cannot fit in the bytes left: a hostile count must throw
+/// before the container allocates for it.
+inline void check_count(const Er& p, std::uint64_t n, std::size_t elem_bytes) {
+  if (p.unpacking() && n > p.remaining() / elem_bytes) {
+    throw std::length_error("pup: decoded count " + std::to_string(n) +
+                            " cannot fit in the " +
+                            std::to_string(p.remaining()) + " bytes left");
+  }
+}
+
 inline void operator|(Er& p, std::string& s) {
   std::uint64_t n = s.size();
   p | n;
+  check_count(p, n, 1);
   if (p.unpacking()) s.resize(static_cast<std::size_t>(n));
   if (n) p.bytes(s.data(), static_cast<std::size_t>(n));
 }
 
 template <typename T>
 inline void operator|(Er& p, std::vector<T>& v) {
+  constexpr bool raw = std::is_trivially_copyable_v<T> && !HasMemberPup<T>;
   std::uint64_t n = v.size();
   p | n;
+  check_count(p, n, raw ? sizeof(T) : min_packed_size<T>());
   if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
-  if constexpr (std::is_trivially_copyable_v<T> && !HasMemberPup<T>) {
+  if constexpr (raw) {
     if (n) p.bytes(v.data(), static_cast<std::size_t>(n) * sizeof(T));
   } else {
     for (auto& e : v) p | e;
@@ -160,6 +193,7 @@ inline void operator|(Er& p, std::vector<T>& v) {
 inline void operator|(Er& p, std::vector<bool>& v) {
   std::uint64_t n = v.size();
   p | n;
+  check_count(p, n, 1);
   if (p.unpacking()) v.resize(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < v.size(); ++i) {
     std::uint8_t b = p.unpacking() ? 0 : static_cast<std::uint8_t>(v[i]);
@@ -208,6 +242,7 @@ template <typename K, typename V, typename C, typename A>
 inline void operator|(Er& p, std::map<K, V, C, A>& m) {
   std::uint64_t n = m.size();
   p | n;
+  check_count(p, n, min_packed_size<K>() + min_packed_size<V>());
   if (p.unpacking()) {
     m.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -228,6 +263,7 @@ template <typename K, typename V, typename H, typename E, typename A>
 inline void operator|(Er& p, std::unordered_map<K, V, H, E, A>& m) {
   std::uint64_t n = m.size();
   p | n;
+  check_count(p, n, min_packed_size<K>() + min_packed_size<V>());
   if (p.unpacking()) {
     m.clear();
     m.reserve(static_cast<std::size_t>(n));
@@ -249,6 +285,7 @@ template <typename K, typename C, typename A>
 inline void operator|(Er& p, std::set<K, C, A>& s) {
   std::uint64_t n = s.size();
   p | n;
+  check_count(p, n, min_packed_size<K>());
   if (p.unpacking()) {
     s.clear();
     for (std::uint64_t i = 0; i < n; ++i) {

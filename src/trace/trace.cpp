@@ -18,10 +18,6 @@ namespace cx::trace {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-WireAtomics g_wire;
-WhenAtomics g_when;
-PoolAtomics g_pool;
-SectionAtomics g_section;
 
 void PoolAtomics::note_task(std::uint64_t ns) noexcept {
   tasks_done.fetch_add(1, std::memory_order_relaxed);
@@ -42,54 +38,124 @@ PoolJobs& pool_jobs() {
   return j;
 }
 
-// visit(stats, atomics, f) calls f(name, snapshot field, live atomic) for
-// every field of a family, in field-list order.
-#define CX_TRACE_VISIT(name) f(#name, s.name, a.name);
-template <class F>
-void visit(WireStats& s, detail::WireAtomics& a, F f) {
-  CX_TRACE_WIRE_FIELDS(CX_TRACE_VISIT)
-}
-template <class F>
-void visit(WhenEngineStats& s, detail::WhenAtomics& a, F f) {
-  CX_TRACE_WHEN_FIELDS(CX_TRACE_VISIT)
-}
-template <class F>
-void visit(PoolStats& s, detail::PoolAtomics& a, F f) {
-  CX_TRACE_POOL_FIELDS(CX_TRACE_VISIT)
-}
-template <class F>
-void visit(SectionStats& s, detail::SectionAtomics& a, F f) {
-  CX_TRACE_SECTION_FIELDS(CX_TRACE_VISIT)
-}
-#undef CX_TRACE_VISIT
+// ---- stat shards ---------------------------------------------------------
 
+/// Every shard ever handed out (never freed: a snapshot sums the counts
+/// of exited threads too), and those whose thread has exited, for reuse.
+struct ShardList {
+  std::mutex mu;
+  std::vector<detail::StatShard*> all;
+  std::vector<detail::StatShard*> idle;
+};
+
+ShardList& shard_list() {
+  // Leaked on purpose: threads keep bumping during static destruction.
+  static ShardList* list = new ShardList;
+  return *list;
+}
+
+/// Gives the thread's shard back for reuse when the thread exits. The
+/// thread keeps its t_shard pointer, so a bump from a later thread-exit
+/// destructor still lands in a shard (atomically, if it is reused).
+struct ShardLease {
+  ShardLease() = default;
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+  bool held = false;
+  ~ShardLease() {
+    if (!held) return;
+    auto& l = shard_list();
+    std::lock_guard<std::mutex> lock(l.mu);
+    l.idle.push_back(detail::t_shard);
+  }
+};
+thread_local ShardLease t_lease;
+
+/// Calls f(shard) for every shard, under the list lock.
+template <class F>
+void for_each_shard(F f) {
+  auto& l = shard_list();
+  std::lock_guard<std::mutex> lock(l.mu);
+  for (detail::StatShard* sh : l.all) f(*sh);
+}
+
+// ---- stat family tables --------------------------------------------------
+
+enum class Fold { sum, max };
+
+/// One field of a stat family: its JSON name, where it sits in the
+/// snapshot and in a shard, and how shards combine.
 template <class Stats, class Atomics>
-Stats snapshot(Atomics& live) {
+struct StatRow {
+  const char* name;
+  std::uint64_t Stats::*stat;
+  std::atomic<std::uint64_t> Atomics::*live;
+  Fold fold;
+};
+
+/// Family<Stats>: the family's place in a shard and its row table,
+/// generated from the field list.
+template <class Stats>
+struct Family;
+
+#define CX_TRACE_ROW(name, fold) \
+  {#name, &Stats::name, &Atomics::name, Fold::fold},
+#define CX_TRACE_FAMILY(StatsT, AtomicsT, member, FIELDS)       \
+  template <>                                                   \
+  struct Family<StatsT> {                                       \
+    using Stats = StatsT;                                       \
+    using Atomics = detail::AtomicsT;                           \
+    static constexpr Atomics detail::StatShard::*shard =        \
+        &detail::StatShard::member;                             \
+    static constexpr StatRow<Stats, Atomics> rows[] = {         \
+        FIELDS(CX_TRACE_ROW)};                                  \
+  };
+CX_TRACE_FAMILY(WireStats, WireAtomics, wire, CX_TRACE_WIRE_FIELDS)
+CX_TRACE_FAMILY(WhenEngineStats, WhenAtomics, when, CX_TRACE_WHEN_FIELDS)
+CX_TRACE_FAMILY(PoolStats, PoolAtomics, pool, CX_TRACE_POOL_FIELDS)
+CX_TRACE_FAMILY(SectionStats, SectionAtomics, section,
+                CX_TRACE_SECTION_FIELDS)
+#undef CX_TRACE_FAMILY
+#undef CX_TRACE_ROW
+
+/// Fold one shard's part of a family into a snapshot.
+template <class Stats>
+void fold_shard(Stats& s, const detail::StatShard& sh) {
+  using F = Family<Stats>;
+  const auto& live = sh.*F::shard;
+  for (const auto& r : F::rows) {
+    const std::uint64_t v = (live.*r.live).load(std::memory_order_relaxed);
+    std::uint64_t& acc = s.*r.stat;
+    acc = r.fold == Fold::max ? std::max(acc, v) : acc + v;
+  }
+}
+
+template <class Stats>
+Stats snapshot() {
   Stats s;
-  visit(s, live, [](const char*, std::uint64_t& v, auto& x) {
-    v = x.load(std::memory_order_relaxed);
-  });
+  for_each_shard([&](const detail::StatShard& sh) { fold_shard(s, sh); });
   return s;
 }
 
-template <class Stats, class Atomics>
-void zero(Atomics& live) {
-  Stats s;
-  visit(s, live, [](const char*, std::uint64_t&, auto& x) {
-    x.store(0, std::memory_order_relaxed);
-  });
+template <class Stats>
+void zero(detail::StatShard& sh) {
+  using F = Family<Stats>;
+  auto& live = sh.*F::shard;
+  for (const auto& r : F::rows) {
+    (live.*r.live).store(0, std::memory_order_relaxed);
+  }
 }
 
 /// Writes `,"key":{"field":value,...` for a family; the caller appends
 /// the derived rates and closes the object.
-template <class Stats, class Atomics>
-void json_family(std::ostream& os, const char* key, Stats s, Atomics& live) {
+template <class Stats>
+void json_family(std::ostream& os, const char* key, const Stats& s) {
   os << ",\"" << key << "\":{";
   const char* sep = "";
-  visit(s, live, [&](const char* name, std::uint64_t& v, auto&) {
-    os << sep << '"' << name << "\":" << v;
+  for (const auto& r : Family<Stats>::rows) {
+    os << sep << '"' << r.name << "\":" << s.*r.stat;
     sep = ",";
-  });
+  }
 }
 
 /// One PE's trace state. The owning PE thread is the only writer; the
@@ -221,32 +287,55 @@ std::vector<PoolJobRecord> pool_job_records() {
   return j.records;
 }
 
-WireStats wire_stats() noexcept { return snapshot<WireStats>(detail::g_wire); }
+namespace detail {
 
-WhenEngineStats when_stats() noexcept {
-  return snapshot<WhenEngineStats>(detail::g_when);
+StatShard& acquire_shard() noexcept {
+  auto& l = shard_list();
+  StatShard* s = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(l.mu);
+    if (!l.idle.empty()) {
+      s = l.idle.back();
+      l.idle.pop_back();
+    } else {
+      s = new StatShard;
+      l.all.push_back(s);
+    }
+  }
+  t_shard = s;
+  t_lease.held = true;
+  return *s;
 }
 
+}  // namespace detail
+
+WireStats wire_stats() noexcept { return snapshot<WireStats>(); }
+
+WhenEngineStats when_stats() noexcept { return snapshot<WhenEngineStats>(); }
+
 PoolStats pool_stats() noexcept {
-  PoolStats s = snapshot<PoolStats>(detail::g_pool);
-  for (int i = 0; i < kPoolLatBuckets; ++i) {
-    s.lat_hist[i] = detail::g_pool.lat_hist[i].load(std::memory_order_relaxed);
-  }
+  PoolStats s;
+  for_each_shard([&](const detail::StatShard& sh) {
+    fold_shard(s, sh);
+    for (int i = 0; i < kPoolLatBuckets; ++i) {
+      s.lat_hist[i] += sh.pool.lat_hist[i].load(std::memory_order_relaxed);
+    }
+  });
   return s;
 }
 
-SectionStats section_stats() noexcept {
-  return snapshot<SectionStats>(detail::g_section);
-}
+SectionStats section_stats() noexcept { return snapshot<SectionStats>(); }
 
 void reset_stats() noexcept {
-  zero<WireStats>(detail::g_wire);
-  zero<WhenEngineStats>(detail::g_when);
-  zero<PoolStats>(detail::g_pool);
-  zero<SectionStats>(detail::g_section);
-  for (auto& bucket : detail::g_pool.lat_hist) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
+  for_each_shard([](detail::StatShard& sh) {
+    zero<WireStats>(sh);
+    zero<WhenEngineStats>(sh);
+    zero<PoolStats>(sh);
+    zero<SectionStats>(sh);
+    for (auto& bucket : sh.pool.lat_hist) {
+      bucket.store(0, std::memory_order_relaxed);
+    }
+  });
   auto& j = pool_jobs();
   std::lock_guard<std::mutex> lock(j.mu);
   j.records.clear();
@@ -532,15 +621,15 @@ void write_json(std::ostream& os) {
   json_counters(os, aggregate());
   os << '}';
   const WhenEngineStats ws = when_stats();
-  json_family(os, "when", ws, detail::g_when);
+  json_family(os, "when", ws);
   os << ",\"skip_rate\":" << ws.skip_rate() << '}';
   const WireStats w = wire_stats();
-  json_family(os, "wire", w, detail::g_wire);
+  json_family(os, "wire", w);
   os << ",\"pool_hit_rate\":" << w.hit_rate() << '}';
-  json_family(os, "sections", section_stats(), detail::g_section);
+  json_family(os, "sections", section_stats());
   os << '}';
   const PoolStats pool = pool_stats();
-  json_family(os, "pool", pool, detail::g_pool);
+  json_family(os, "pool", pool);
   os << ",\"mean_chunk\":" << pool.mean_chunk()
      << ",\"steal_hit_rate\":" << pool.steal_hit_rate()
      << ",\"mean_task_s\":" << pool.mean_task_s()

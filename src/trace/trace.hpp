@@ -109,8 +109,8 @@ namespace cx::trace {
 #define CX_TRACE_NONE(...)
 #define CX_TRACE_ENUMERATOR(Kind, ...) Kind,
 #define CX_TRACE_COUNT_FIELD(Kind, name, counter) std::uint64_t counter = 0;
-#define CX_TRACE_U64_FIELD(name) std::uint64_t name = 0;
-#define CX_TRACE_ATOMIC_FIELD(name) std::atomic<std::uint64_t> name{0};
+#define CX_TRACE_U64_FIELD(name, fold) std::uint64_t name = 0;
+#define CX_TRACE_ATOMIC_FIELD(name, fold) std::atomic<std::uint64_t> name{0};
 
 enum class EventKind : std::uint8_t {
   CX_TRACE_KINDS(CX_TRACE_ENUMERATOR, CX_TRACE_ENUMERATOR)
@@ -147,11 +147,21 @@ struct Counters {
 
 // ---- always-on stat families ----------------------------------------------
 //
-// Each family below is one field list. It generates the public snapshot
-// struct's fields, the detail::*Atomics struct the hook sites bump
-// (relaxed fetch_add on a named member), the snapshot function, zeroing
-// in reset_stats() and the family's JSON object. Derived rates stay
+// Each family below is one field list of X(name, fold) rows, where fold
+// says how the per-thread values of a field combine in a snapshot: `sum`
+// for counts, `max` for high-water marks. The list generates the public
+// snapshot struct's fields and the detail::*Atomics struct the hook
+// sites bump (relaxed fetch_add on a named member); trace.cpp turns it
+// into the row table behind the snapshot function, zeroing in
+// reset_stats() and the family's JSON object. Derived rates stay
 // hand-written methods of the snapshot struct.
+//
+// The hooks run on every message from every PE thread, so the counters
+// are sharded: each thread bumps its own cache-line-aligned StatShard
+// (detail::wire(), when(), pool(), section() below), and no two threads
+// write one line. A snapshot folds every shard, including those of
+// threads that have exited: a snapshot taken after a Runtime's PE
+// threads are joined sees all of their work.
 
 // ---- cx::wire allocation counters ---------------------------------------
 //
@@ -162,28 +172,28 @@ struct Counters {
 // count) so --wire-pool A/B runs work without --trace.
 
 #define CX_TRACE_WIRE_FIELDS(X)                                               \
-  X(envelopes)       /* messages built by the wire builder */                 \
-  X(bytes_packed)    /* header+body bytes packed */                           \
-  X(sbo_payloads)    /* envelopes that fit inline (no heap) */                \
-  X(buf_allocs)      /* payload blocks taken from the system */               \
-  X(buf_hits)        /* payload blocks served from the pool */                \
-  X(buf_recycled)    /* payload blocks returned to the pool */                \
-  X(msg_allocs)      /* Message objects from the system */                    \
-  X(msg_hits)        /* Message objects from the pool */                      \
-  X(msg_recycled)    /* Message objects returned to the pool */               \
-  X(env_allocs)      /* LocalEnvelopes from the system */                     \
-  X(env_hits)        /* LocalEnvelopes from the pool */                       \
+  X(envelopes, sum)       /* messages built by the wire builder */            \
+  X(bytes_packed, sum)    /* header+body bytes packed */                      \
+  X(sbo_payloads, sum)    /* envelopes that fit inline (no heap) */           \
+  X(buf_allocs, sum)      /* payload blocks taken from the system */          \
+  X(buf_hits, sum)        /* payload blocks served from the pool */           \
+  X(buf_recycled, sum)    /* payload blocks returned to the pool */           \
+  X(msg_allocs, sum)      /* Message objects from the system */               \
+  X(msg_hits, sum)        /* Message objects from the pool */                 \
+  X(msg_recycled, sum)    /* Message objects returned to the pool */          \
+  X(env_allocs, sum)      /* LocalEnvelopes from the system */                \
+  X(env_hits, sum)        /* LocalEnvelopes from the pool */                  \
   /* Sender-side aggregation (--wire-agg). transport_msgs counts physical     \
      cross-PE wire envelopes (batches count once); agg_msgs counts            \
      application messages that travelled inside a batch. The flush_*          \
      counters break sealed batches down by trigger. */                        \
-  X(transport_msgs)  /* physical cross-PE envelopes */                        \
-  X(agg_batches)     /* batches sealed */                                     \
-  X(agg_msgs)        /* app messages absorbed into batches */                 \
-  X(agg_flush_bytes) /* seals: byte threshold */                              \
-  X(agg_flush_count) /* seals: message-count threshold */                     \
-  X(agg_flush_idle)  /* seals: idle scheduler / DES timer */                  \
-  X(agg_flush_order) /* seals: ordering (bypass/class switch) */
+  X(transport_msgs, sum)  /* physical cross-PE envelopes */                   \
+  X(agg_batches, sum)     /* batches sealed */                                \
+  X(agg_msgs, sum)        /* app messages absorbed into batches */            \
+  X(agg_flush_bytes, sum) /* seals: byte threshold */                         \
+  X(agg_flush_count, sum) /* seals: message-count threshold */                \
+  X(agg_flush_idle, sum)  /* seals: idle scheduler / DES timer */             \
+  X(agg_flush_order, sum) /* seals: ordering (bypass/class switch) */
 
 struct WireStats {
   CX_TRACE_WIRE_FIELDS(CX_TRACE_U64_FIELD)
@@ -207,7 +217,6 @@ struct WireStats {
 
 namespace detail {
 struct WireAtomics { CX_TRACE_WIRE_FIELDS(CX_TRACE_ATOMIC_FIELD) };
-extern WireAtomics g_wire;
 }  // namespace detail
 
 /// Snapshot of the wire counters since begin_run()/reset_stats().
@@ -222,11 +231,11 @@ extern WireAtomics g_wire;
 // runs work without --trace.
 
 #define CX_TRACE_WHEN_FIELDS(X)                                               \
-  X(tests)      /* when-predicate evaluations */                              \
-  X(hits)       /* buffered messages released (re-test hit) */                \
-  X(buffered)   /* deliveries that were buffered */                           \
-  X(skipped)    /* re-tests avoided by dependency tracking */                 \
-  X(high_water) /* max buffered messages on one chare */
+  X(tests, sum)      /* when-predicate evaluations */                         \
+  X(hits, sum)       /* buffered messages released (re-test hit) */           \
+  X(buffered, sum)   /* deliveries that were buffered */                      \
+  X(skipped, sum)    /* re-tests avoided by dependency tracking */            \
+  X(high_water, max) /* max buffered messages on one chare */
 
 struct WhenEngineStats {
   CX_TRACE_WHEN_FIELDS(CX_TRACE_U64_FIELD)
@@ -242,7 +251,6 @@ struct WhenEngineStats {
 
 namespace detail {
 struct WhenAtomics { CX_TRACE_WHEN_FIELDS(CX_TRACE_ATOMIC_FIELD) };
-extern WhenAtomics g_when;
 
 /// Relaxed CAS-max for the high-water fields: raise `slot` to `v` unless
 /// it already holds more.
@@ -271,19 +279,19 @@ inline void raise_max(std::atomic<std::uint64_t>& slot,
 inline constexpr int kPoolLatBuckets = 48;
 
 #define CX_TRACE_POOL_FIELDS(X)                                               \
-  X(grants)           /* chunk grants sent by the master */                   \
-  X(granted_tasks)    /* tasks covered by those grants */                     \
-  X(max_chunk)        /* largest single grant */                              \
-  X(steal_attempts)   /* steal requests sent by workers */                    \
-  X(steal_hits)       /* steals that returned work */                         \
-  X(stolen_tasks)     /* tasks moved worker-to-worker */                      \
-  X(result_batches)   /* batched result messages */                           \
-  X(tasks_done)       /* task executions (incl. reruns) */                    \
-  X(beats)            /* decoupled heartbeat messages */                      \
-  X(reassigns)        /* steal reassignments at the master */                 \
-  X(inflight_clamps)  /* grants clamped by --pool-max-inflight */             \
-  X(queue_high_water) /* max jobs waiting for processors */                   \
-  X(task_ns_sum)      /* summed task execution nanoseconds */
+  X(grants, sum)           /* chunk grants sent by the master */              \
+  X(granted_tasks, sum)    /* tasks covered by those grants */                \
+  X(max_chunk, max)        /* largest single grant */                         \
+  X(steal_attempts, sum)   /* steal requests sent by workers */               \
+  X(steal_hits, sum)       /* steals that returned work */                    \
+  X(stolen_tasks, sum)     /* tasks moved worker-to-worker */                 \
+  X(result_batches, sum)   /* batched result messages */                      \
+  X(tasks_done, sum)       /* task executions (incl. reruns) */               \
+  X(beats, sum)            /* decoupled heartbeat messages */                 \
+  X(reassigns, sum)        /* steal reassignments at the master */            \
+  X(inflight_clamps, sum)  /* grants clamped by --pool-max-inflight */        \
+  X(queue_high_water, max) /* max jobs waiting for processors */              \
+  X(task_ns_sum, sum)      /* summed task execution nanoseconds */
 
 struct PoolStats {
   CX_TRACE_POOL_FIELDS(CX_TRACE_U64_FIELD)
@@ -322,7 +330,6 @@ struct PoolAtomics {
 
   void note_task(std::uint64_t ns) noexcept;
 };
-extern PoolAtomics g_pool;
 }  // namespace detail
 
 /// Snapshot of the pool counters since begin_run()/reset_stats().
@@ -361,28 +368,59 @@ void pool_job_note(const PoolJobRecord& rec);
 // adds) so bench/micro_section A/B runs work without --trace.
 
 #define CX_TRACE_SECTION_FIELDS(X)                                            \
-  X(sections_built)  /* section_create calls */                               \
-  X(tree_repairs)    /* delivery splits rebuilt post-migration */             \
-  X(mcasts)          /* multicasts initiated */                               \
-  X(mcast_envelopes) /* envelopes sent by section multicast */                \
+  X(sections_built, sum)  /* section_create calls */                          \
+  X(tree_repairs, sum)    /* delivery splits rebuilt post-migration */        \
+  X(mcasts, sum)          /* multicasts initiated */                          \
+  X(mcast_envelopes, sum) /* envelopes sent by section multicast */           \
   /* Envelopes a naive broadcast+filter would have needed minus what the      \
      section tree used, accumulated at the tree root per multicast. */        \
-  X(envelopes_saved)                                                          \
-  X(contributions)   /* section contribute calls */                           \
-  X(red_fragments)   /* combined fragments sent up tree edges */              \
-  X(reductions_done) /* section reductions delivered at root */
+  X(envelopes_saved, sum)                                                     \
+  X(contributions, sum)   /* section contribute calls */                      \
+  X(red_fragments, sum)   /* combined fragments sent up tree edges */         \
+  X(reductions_done, sum) /* section reductions delivered at root */
 
 struct SectionStats { CX_TRACE_SECTION_FIELDS(CX_TRACE_U64_FIELD) };
 
 namespace detail {
 struct SectionAtomics { CX_TRACE_SECTION_FIELDS(CX_TRACE_ATOMIC_FIELD) };
-extern SectionAtomics g_section;
 }  // namespace detail
 
 /// Snapshot of the section counters since begin_run()/reset_stats().
 [[nodiscard]] SectionStats section_stats() noexcept;
 
-/// Zero every stat family and the pool job records (begin_run does too).
+namespace detail {
+
+/// One thread's share of every always-on stat family. Aligned so that
+/// shards of different threads never share a cache line.
+struct alignas(64) StatShard {
+  WireAtomics wire;
+  WhenAtomics when;
+  PoolAtomics pool;
+  SectionAtomics section;
+};
+
+/// The calling thread's shard; null until the thread's first bump.
+inline thread_local StatShard* t_shard = nullptr;
+
+/// Slow path of shard(): hand the calling thread a shard, reusing one
+/// whose thread has exited (its counts stay in it), else a new one.
+StatShard& acquire_shard() noexcept;
+
+inline StatShard& shard() noexcept {
+  StatShard* s = t_shard;
+  return s != nullptr ? *s : acquire_shard();
+}
+
+// The hook sites' handles: the calling thread's part of each family.
+inline WireAtomics& wire() noexcept { return shard().wire; }
+inline WhenAtomics& when() noexcept { return shard().when; }
+inline PoolAtomics& pool() noexcept { return shard().pool; }
+inline SectionAtomics& section() noexcept { return shard().section; }
+
+}  // namespace detail
+
+/// Zero every stat family in every shard, and the pool job records
+/// (begin_run does too).
 void reset_stats() noexcept;
 
 struct Config {

@@ -11,7 +11,10 @@ namespace cx::wire {
 
 namespace {
 
-using cx::trace::detail::g_wire;
+/// The calling thread's wire counters.
+cx::trace::detail::WireAtomics& stats() noexcept {
+  return cx::trace::detail::wire();
+}
 
 std::atomic<bool> g_agg_enabled{
     parse_toggle(std::getenv("CHARMX_WIRE_AGG"), /*unset=*/false)};
@@ -22,16 +25,16 @@ AggConfig g_agg_cfg;
 void note_flush(AggFlush why) noexcept {
   switch (why) {
     case AggFlush::Bytes:
-      g_wire.agg_flush_bytes.fetch_add(1, std::memory_order_relaxed);
+      stats().agg_flush_bytes.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Count:
-      g_wire.agg_flush_count.fetch_add(1, std::memory_order_relaxed);
+      stats().agg_flush_count.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Idle:
-      g_wire.agg_flush_idle.fetch_add(1, std::memory_order_relaxed);
+      stats().agg_flush_idle.fetch_add(1, std::memory_order_relaxed);
       break;
     case AggFlush::Ordering:
-      g_wire.agg_flush_order.fetch_add(1, std::memory_order_relaxed);
+      stats().agg_flush_order.fetch_add(1, std::memory_order_relaxed);
       break;
   }
 }
@@ -106,7 +109,7 @@ bool PeAggregator::absorb(cxm::MessagePtr msg) {
   if (len > 0) std::memcpy(out + kAggRecordBytes, msg->data.data(), len);
   b.bytes += need;
   b.count += 1;
-  g_wire.agg_msgs.fetch_add(1, std::memory_order_relaxed);
+  stats().agg_msgs.fetch_add(1, std::memory_order_relaxed);
   msg.reset();  // absorbed; the pooled Message recycles immediately
 
   if (b.count >= cfg_.flush_count) {
@@ -129,7 +132,7 @@ void PeAggregator::seal(DstAgg& d, AggFlush why) {
   ClassBuf& b = d.cls[d.active];
   std::memcpy(b.msg->data.data(), &b.count, sizeof(b.count));
   b.msg->data.resize_discard(b.bytes);  // shrink: keeps block + contents
-  g_wire.agg_batches.fetch_add(1, std::memory_order_relaxed);
+  stats().agg_batches.fetch_add(1, std::memory_order_relaxed);
   note_flush(why);
   ready_.push_back(std::move(b.msg));
   b.bytes = 0;

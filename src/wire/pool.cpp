@@ -17,7 +17,10 @@ void configure_agg_from_options(const cxu::Options& opt);
 
 namespace {
 
-using cx::trace::detail::g_wire;
+/// The calling thread's wire counters.
+cx::trace::detail::WireAtomics& stats() noexcept {
+  return cx::trace::detail::wire();
+}
 
 constexpr int kNumClasses = 13;  // 256 .. 1 MiB, powers of two
 constexpr std::size_t kBatch = 16;
@@ -149,17 +152,17 @@ std::byte* alloc_block(std::size_t size, std::size_t* cap) {
   const int cls = class_for_request(size);
   if (cls < 0) {
     *cap = size;
-    g_wire.buf_allocs.fetch_add(1, std::memory_order_relaxed);
+    stats().buf_allocs.fetch_add(1, std::memory_order_relaxed);
     return static_cast<std::byte*>(::operator new(size));
   }
   *cap = class_size(cls);
   if (g_pool_enabled.load(std::memory_order_relaxed)) {
     if (std::byte* p = take_cached(cls)) {
-      g_wire.buf_hits.fetch_add(1, std::memory_order_relaxed);
+      stats().buf_hits.fetch_add(1, std::memory_order_relaxed);
       return p;
     }
   }
-  g_wire.buf_allocs.fetch_add(1, std::memory_order_relaxed);
+  stats().buf_allocs.fetch_add(1, std::memory_order_relaxed);
   return static_cast<std::byte*>(::operator new(*cap));
 }
 
@@ -168,7 +171,7 @@ void free_block(std::byte* p, std::size_t cap) noexcept {
   const int cls = class_for_capacity(cap);
   if (cls >= 0 && g_pool_enabled.load(std::memory_order_relaxed) &&
       put_cached(cls, p)) {
-    g_wire.buf_recycled.fetch_add(1, std::memory_order_relaxed);
+    stats().buf_recycled.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   ::operator delete(p);
@@ -178,13 +181,13 @@ void* alloc_msg(std::size_t size) {
   if (size <= kMsgBlock && g_pool_enabled.load(std::memory_order_relaxed)) {
     const int cls = class_for_request(kMsgBlock);
     if (std::byte* p = take_cached(cls)) {
-      g_wire.msg_hits.fetch_add(1, std::memory_order_relaxed);
+      stats().msg_hits.fetch_add(1, std::memory_order_relaxed);
       return p;
     }
-    g_wire.msg_allocs.fetch_add(1, std::memory_order_relaxed);
+    stats().msg_allocs.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(kMsgBlock);
   }
-  g_wire.msg_allocs.fetch_add(1, std::memory_order_relaxed);
+  stats().msg_allocs.fetch_add(1, std::memory_order_relaxed);
   return ::operator new(size <= kMsgBlock ? kMsgBlock : size);
 }
 
@@ -192,7 +195,7 @@ void free_msg(void* p, std::size_t size) noexcept {
   if (p == nullptr) return;
   if (size <= kMsgBlock && g_pool_enabled.load(std::memory_order_relaxed) &&
       put_cached(class_for_request(kMsgBlock), static_cast<std::byte*>(p))) {
-    g_wire.msg_recycled.fetch_add(1, std::memory_order_relaxed);
+    stats().msg_recycled.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   ::operator delete(p);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -274,6 +276,35 @@ TEST(RuntimeBasic, MessagesSentCounterGrows) {
     cx::exit();
   });
   EXPECT_GT(rt.messages_sent(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+
+/// Arguments for an entry-method id no chare has: an empty tuple.
+detail::ArgsCarrier no_args() {
+  detail::ArgsCarrier a;
+  a.tuple = std::make_shared<std::tuple<>>();
+  a.pup = +[](void*, pup::Er&) {};
+  return a;
+}
+
+TEST(RuntimeBasic, UnknownEntryIdInMessageIsDropped) {
+  // An entry-method id read off a message indexes the registry; an id
+  // nothing registered must drop that message (logged), not the process.
+  run_program(threaded_cfg(2), [] {
+    constexpr EpId kBogus = 0xFFFFFF00u;
+    auto echo = create_chare<Echo>(1);  // remote, so the send is packed
+    detail::proxy_send(echo.collection(), echo.index(), kBogus, no_args(),
+                       {});
+    EXPECT_EQ(echo.call<&Echo::add>(2, 3).get(), 5);
+    auto arr = create_array<BumpChare>({4});
+    detail::proxy_broadcast(arr.id(), kBogus, no_args(), {});
+    arr.broadcast_done<&BumpChare::bump>().get();
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(arr[i].call<&BumpChare::get_hits>().get(), 1);
+    }
+    cx::exit();
+  });
 }
 
 }  // namespace

@@ -2,13 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <optional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
+
+// Global operator new/delete that record the largest single request made
+// while a decode is being watched: a hostile element count has to be
+// rejected before its container allocates anything for it.
+namespace {
+std::atomic<bool> g_watch{false};
+std::atomic<std::size_t> g_largest_request{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_watch.load(std::memory_order_relaxed)) {
+    std::size_t cur = g_largest_request.load(std::memory_order_relaxed);
+    while (n > cur && !g_largest_request.compare_exchange_weak(cur, n)) {
+    }
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+// GCC pairs free() with the operator new it inlined and warns; both sides
+// of every pair here are malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -127,6 +172,59 @@ TEST(Pup, UnpackerUnderflowThrows) {
   pup::Unpacker u(tiny, sizeof(tiny));
   std::string s;
   EXPECT_THROW(u | s, std::length_error);
+}
+
+/// Decode a T from `payload` and return the largest allocation made on
+/// the way; the decode must throw std::length_error.
+template <typename T>
+std::size_t largest_request_decoding(const std::vector<std::byte>& payload) {
+  g_largest_request.store(0);
+  g_watch.store(true);
+  bool threw = false;
+  try {
+    (void)pup::from_bytes<T>(payload);
+  } catch (const std::length_error&) {
+    threw = true;
+  }
+  g_watch.store(false);
+  EXPECT_TRUE(threw);
+  return g_largest_request.load();
+}
+
+/// An 8-byte count claiming `n` elements, followed by `extra` bytes.
+std::vector<std::byte> claim(std::uint64_t n, std::size_t extra = 0) {
+  auto bytes = pup::to_bytes(n);
+  bytes.resize(bytes.size() + extra);
+  return bytes;
+}
+
+TEST(Pup, HostileCountThrowsBeforeAllocating) {
+  constexpr std::uint64_t k2to40 = std::uint64_t{1} << 40;
+  constexpr std::size_t kSmall = 4096;  // what the exception itself may take
+  EXPECT_LT(largest_request_decoding<std::vector<double>>(claim(k2to40)),
+            kSmall);
+  EXPECT_LT(largest_request_decoding<std::string>(claim(k2to40)), kSmall);
+  EXPECT_LT(largest_request_decoding<std::vector<bool>>(claim(k2to40)),
+            kSmall);
+  EXPECT_LT(largest_request_decoding<std::vector<std::string>>(claim(k2to40)),
+            kSmall);
+  EXPECT_LT((largest_request_decoding<std::unordered_map<int, int>>(
+                claim(k2to40))),
+            kSmall);
+  EXPECT_LT((largest_request_decoding<std::map<int, double>>(claim(k2to40))),
+            kSmall);
+  EXPECT_LT(largest_request_decoding<std::set<int>>(claim(k2to40)), kSmall);
+  // A count just past what the bytes left can hold: 3 doubles in 16 bytes.
+  EXPECT_LT(largest_request_decoding<std::vector<double>>(claim(3, 16)),
+            kSmall);
+}
+
+TEST(Pup, CountThatFitsStillDecodes) {
+  // Exactly as many elements as the bytes left can hold.
+  auto bytes = claim(2, 2 * sizeof(double));
+  EXPECT_EQ(pup::from_bytes<std::vector<double>>(bytes).size(), 2u);
+  EXPECT_EQ(pup::from_bytes<std::string>(claim(5, 5)).size(), 5u);
+  EXPECT_TRUE(pup::from_bytes<std::vector<int>>(claim(0)).empty());
 }
 
 TEST(Pup, PackArgs) {

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/charm.hpp"
 #include "model/cpy.hpp"
@@ -364,6 +366,62 @@ TEST(Trace, HugeBufferClampsInsteadOfOverflowing) {
   trace::record(3, 1.0, trace::EventKind::Idle, 5, 0);
   ASSERT_EQ(trace::events(3).size(), 1u);
   EXPECT_EQ(trace::counters(3).idle_spans, 1u);
+}
+
+TEST(Trace, StatsSumAcrossThreads) {
+  // Each thread bumps its own counter shard; a snapshot must fold every
+  // shard, including those of threads that have exited, summing counts
+  // and taking the max of high-water marks.
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kBumps = 10000;
+  namespace d = trace::detail;
+  auto run_threads = [&](std::uint64_t max_base) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([t, max_base] {
+        for (std::uint64_t i = 0; i < kBumps; ++i) {
+          d::wire().envelopes.fetch_add(1, std::memory_order_relaxed);
+          d::when().tests.fetch_add(2, std::memory_order_relaxed);
+          d::section().mcasts.fetch_add(1, std::memory_order_relaxed);
+          d::pool().note_task(1);
+        }
+        const auto v = max_base + static_cast<std::uint64_t>(t);
+        d::raise_max(d::when().high_water, v);
+        d::raise_max(d::pool().max_chunk, 2 * v);
+        d::raise_max(d::pool().queue_high_water, v + 1);
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+  for (const std::uint64_t max_base : {100u, 7u}) {
+    // The second round reuses the shards the first round's threads left.
+    trace::reset_stats();
+    run_threads(max_base);
+    const std::uint64_t total = kThreads * kBumps;
+    const std::uint64_t top = max_base + kThreads - 1;
+    EXPECT_EQ(trace::wire_stats().envelopes, total);
+    EXPECT_EQ(trace::when_stats().tests, 2 * total);
+    EXPECT_EQ(trace::when_stats().high_water, top);
+    EXPECT_EQ(trace::section_stats().mcasts, total);
+    const trace::PoolStats p = trace::pool_stats();
+    EXPECT_EQ(p.tasks_done, total);
+    EXPECT_EQ(p.task_ns_sum, total);
+    EXPECT_EQ(p.lat_hist[0], total);
+    EXPECT_EQ(p.max_chunk, 2 * top);
+    EXPECT_EQ(p.queue_high_water, top + 1);
+  }
+  // This thread's own bumps count too, and reset_stats() zeroes every
+  // shard, live or left behind.
+  d::wire().envelopes.fetch_add(5, std::memory_order_relaxed);
+  EXPECT_EQ(trace::wire_stats().envelopes, kThreads * kBumps + 5);
+  trace::reset_stats();
+  EXPECT_EQ(trace::wire_stats().envelopes, 0u);
+  EXPECT_EQ(trace::when_stats().tests, 0u);
+  EXPECT_EQ(trace::when_stats().high_water, 0u);
+  EXPECT_EQ(trace::section_stats().mcasts, 0u);
+  EXPECT_EQ(trace::pool_stats().tasks_done, 0u);
+  EXPECT_EQ(trace::pool_stats().lat_hist[0], 0u);
+  EXPECT_EQ(trace::pool_stats().max_chunk, 0u);
 }
 
 }  // namespace
