@@ -144,6 +144,11 @@ void Runtime::Impl::on_reduce(MessagePtr msg) {
   pup::Unpacker u(msg->data.data(), msg->data.size());
   ReduceHeader h;
   u | h;
+  if (!CombinerRegistry::instance().known(h.combiner)) {
+    CX_LOG_ERROR("dropping contribution with unknown combiner id ",
+                 h.combiner);
+    return;
+  }
   auto& ps = me();
   const auto cit = ps.colls.find(h.coll);
   if (cit == ps.colls.end()) {

@@ -54,6 +54,12 @@ class CombinerRegistry {
   [[nodiscard]] const CombineFn* find(CombineId id) const noexcept {
     return fns_.find(id);
   }
+  /// True for a registered id or kNoCombine: what a combiner id read off
+  /// a contribution message must be before any reduction state is
+  /// touched (the fold handlers drop the message otherwise).
+  [[nodiscard]] bool known(CombineId id) const noexcept {
+    return id == kNoCombine || find(id) != nullptr;
+  }
 
  private:
   cxu::IdTable<CombineFn> fns_;

@@ -239,6 +239,11 @@ void Runtime::Impl::on_sect_reduce(MessagePtr msg) {
   pup::Unpacker u(msg->data.data(), msg->data.size());
   SectReduceHeader h;
   u | h;
+  if (!CombinerRegistry::instance().known(h.combiner)) {
+    CX_LOG_ERROR("dropping section contribution with unknown combiner id ",
+                 h.combiner);
+    return;
+  }
   auto& ps = me();
   const auto sit = ps.sections.find(h.sect);
   if (sit == ps.sections.end()) {

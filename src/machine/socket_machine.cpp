@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <sched.h>
 #include <stdexcept>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -27,9 +28,38 @@ constexpr std::uint64_t kDropDuplicate = 1;
 constexpr std::uint64_t kDropDeadDst = 2;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Largest frame a sending thread writes to the peer socket itself.
+/// Bigger frames go to the comm thread, so the sender can pack the next
+/// one while the comm thread copies this one into the socket.
+constexpr std::size_t kInlineFrameMax = kReadChunk;
+/// How long an out-of-work PE polls its mailbox before parking on the
+/// condition variable (seconds). Long enough to cover a loopback round
+/// trip through a peer rank, short enough that an idle PE soon frees
+/// its core.
+constexpr double kPollWindow = 200e-6;
 /// How long the comm thread keeps flushing after the PE loops exit —
 /// long enough for the Stop broadcast and tail acks to reach peers.
 constexpr double kDrainGrace = 3.0;
+
+/// One spin-wait step: tell the core we are spinning.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// CPUs this process may run on. Read from the affinity mask (one
+/// syscall) rather than std::thread::hardware_concurrency, which reads
+/// sysfs: 6-60 us, a visible share of a Runtime's bring-up.
+unsigned usable_cores() noexcept {
+  cpu_set_t set;
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::thread::hardware_concurrency();
+}
 
 /// The global PE count of a valid geometry; throws before any per-PE
 /// state is sized from a bad one (e.g. a threaded run with num_pes < 1).
@@ -65,6 +95,8 @@ SocketMachine::SocketMachine(const MachineConfig& cfg)
     agg_cfg_ = cx::wire::agg_config();
     aggs_.resize(static_cast<std::size_t>(ppn_));
   }
+  const unsigned cores = usable_cores();
+  poll_idle_ = cores > 0 && static_cast<unsigned>(num_pes_) <= cores;
   ft_enabled_ = ft_.enabled();
   if (ft_enabled_) {
     inj_ = std::make_unique<cx::ft::FaultInjector>(ft_);
@@ -154,6 +186,7 @@ void SocketMachine::enqueue(int dst, MessagePtr msg) {
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.queue.push_back(std::move(msg));
+    mb.posts.fetch_add(1, std::memory_order_release);
   }
   mb.cv.notify_one();
 }
@@ -163,6 +196,7 @@ void SocketMachine::enqueue_delayed(int dst, MessagePtr msg, double deadline) {
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.delayed.emplace(deadline, std::move(msg));
+    mb.posts.fetch_add(1, std::memory_order_release);
   }
   mb.cv.notify_one();  // the PE re-bounds its wait by the new deadline
 }
@@ -421,12 +455,27 @@ void SocketMachine::request_stop(bool broadcast) {
 // sockets + the wake pipe.
 
 void SocketMachine::ship(int rank, std::vector<std::byte> frame) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  auto& stats = cx::trace::detail::machine();
   {
-    std::lock_guard<std::mutex> lock(out_mutex_);
-    Peer& p = peers_[static_cast<std::size_t>(rank)];
+    std::lock_guard<std::mutex> lock(p.out_mutex);
     if (p.down || !p.fd.valid()) return;  // dead rank: drop, ft recovers
+    if (p.outq.empty() && frame.size() <= kInlineFrameMax) {
+      // Nothing queued, so nothing is part-written either (the comm
+      // thread pops a frame only once all of it is out): writing here
+      // keeps the peer's frames in order. Errors and a full socket are
+      // left to the comm thread, which owns EPOLLOUT and peer_down.
+      const ssize_t w = ::send(p.fd.get(), frame.data(), frame.size(),
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (w == static_cast<ssize_t>(frame.size())) {
+        stats.frames_inline.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      if (w > 0) p.out_off = static_cast<std::size_t>(w);
+    }
     p.outq.push_back(std::move(frame));
   }
+  stats.frames_queued.fetch_add(1, std::memory_order_relaxed);
   wake_comm();
 }
 
@@ -444,8 +493,8 @@ void SocketMachine::broadcast_control(cxnet::ControlOp op, int pe) {
 }
 
 bool SocketMachine::all_out_drained() {
-  std::lock_guard<std::mutex> lock(out_mutex_);
-  for (const Peer& p : peers_) {
+  for (Peer& p : peers_) {
+    std::lock_guard<std::mutex> lock(p.out_mutex);
     if (!p.down && !p.outq.empty()) return false;
   }
   return true;
@@ -457,12 +506,14 @@ bool SocketMachine::flush_peer(int rank) {
   for (;;) {
     std::vector<std::byte>* front = nullptr;
     {
-      std::lock_guard<std::mutex> lock(out_mutex_);
+      std::lock_guard<std::mutex> lock(p.out_mutex);
       if (p.down) return true;
       if (p.outq.empty()) break;
       front = &p.outq.front();
     }
-    // Only the comm thread pops, so `front` stays valid unlocked.
+    // Only the comm thread pops, so `front` stays valid unlocked; and
+    // with outq non-empty no sender writes inline, so this thread is
+    // the socket's only writer until the pop below.
     const std::size_t left = front->size() - p.out_off;
     const ssize_t w = ::send(p.fd.get(), front->data() + p.out_off, left,
                              MSG_NOSIGNAL);
@@ -483,8 +534,8 @@ bool SocketMachine::flush_peer(int rank) {
     }
     p.out_off += static_cast<std::size_t>(w);
     if (p.out_off == front->size()) {
+      std::lock_guard<std::mutex> lock(p.out_mutex);
       p.out_off = 0;
-      std::lock_guard<std::mutex> lock(out_mutex_);
       p.outq.pop_front();
     }
   }
@@ -525,14 +576,15 @@ void SocketMachine::handle_frame(int rank, const cxnet::Frame& f) {
 }
 
 void SocketMachine::peer_down(int rank, const std::string& why) {
+  Peer& p = peers_[static_cast<std::size_t>(rank)];
   {
-    std::lock_guard<std::mutex> lock(out_mutex_);
-    Peer& p = peers_[static_cast<std::size_t>(rank)];
+    std::lock_guard<std::mutex> lock(p.out_mutex);
     if (p.down) return;
     p.down = true;
     p.outq.clear();
   }
-  Peer& p = peers_[static_cast<std::size_t>(rank)];
+  // Senders check `down` under the lock before touching the fd, so no
+  // inline write can race the close below.
   if (p.fd.valid()) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, p.fd.get(), nullptr);
     p.fd.reset();
@@ -707,6 +759,23 @@ void SocketMachine::run() {
   running_ = false;
 }
 
+bool SocketMachine::poll_mailbox(const Mailbox& mb, std::uint64_t seen,
+                                 double until) {
+  for (unsigned spin = 1;; ++spin) {
+    if (mb.posts.load(std::memory_order_acquire) != seen) return true;
+    if (stop_.load(std::memory_order_relaxed) ||
+        any_failed_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    cpu_relax();
+    if (spin % 64 == 0) {
+      if (now() >= until) return false;
+      // Now and then let a thread that shares this core run.
+      if (spin % 1024 == 0) std::this_thread::yield();
+    }
+  }
+}
+
 void SocketMachine::pe_loop(int pe) {
   t_current_pe = pe;
   cxu::set_log_pe(pe);
@@ -717,6 +786,7 @@ void SocketMachine::pe_loop(int pe) {
     MessagePtr msg;
     bool stopping = false;
     bool flush_idle = false;
+    bool polled = false;  // one poll per idle spell, then park
     double idle_s = -1.0;
     {
       std::unique_lock<std::mutex> lock(mb.mutex);
@@ -766,10 +836,29 @@ void SocketMachine::pe_loop(int pe) {
         if (me) dl = std::min(dl, me->sw.next_deadline());
         if (dl <= tnow) break;  // a retransmit is due; handle below
         const double t0 = cxu::wall_time();
-        if (dl >= kNever) {
-          mb.cv.wait(lock);
+        if (poll_idle_ && !polled &&
+            !any_failed_.load(std::memory_order_relaxed)) {
+          // Poll before parking: a post that lands within the window is
+          // picked up without a futex wake. Whatever ended the poll, the
+          // loop re-checks everything under the lock before it parks.
+          // After a failure (any_failed_ stays set) PEs park at once.
+          polled = true;
+          auto& stats = cx::trace::detail::machine();
+          stats.idle_polls.fetch_add(1, std::memory_order_relaxed);
+          const std::uint64_t seen = mb.posts.load(std::memory_order_relaxed);
+          lock.unlock();
+          if (poll_mailbox(mb, seen, std::min(dl, tnow + kPollWindow))) {
+            stats.poll_hits.fetch_add(1, std::memory_order_relaxed);
+          }
+          lock.lock();
         } else {
-          mb.cv.wait_for(lock, std::chrono::duration<double>(dl - tnow));
+          cx::trace::detail::machine().parks.fetch_add(
+              1, std::memory_order_relaxed);
+          if (dl >= kNever) {
+            mb.cv.wait(lock);
+          } else {
+            mb.cv.wait_for(lock, std::chrono::duration<double>(dl - tnow));
+          }
         }
         const double waited = cxu::wall_time() - t0;
         idle_s = (idle_s < 0.0 ? 0.0 : idle_s) + waited;

@@ -34,6 +34,13 @@
 // honored for rank-local destinations (TCP supplies real latency, and
 // delaying inside the comm thread would stall unrelated traffic).
 //
+// Hand-offs: a PE that runs out of work polls its mailbox for a short
+// window before it parks on the condition variable (only when the host
+// has a core for every PE thread), and a sending thread writes a small
+// frame straight to the peer socket when nothing is queued for that
+// peer. Both spare a sleeping thread's wake-up per message; see
+// DESIGN.md §14 for the rules and the FIFO argument.
+//
 // Wireup: the launcher (cxrun, or a test harness) listens as the
 // rendezvous root; every rank connects, sends its handshake + data
 // port, and receives the rank->endpoint table, then the ranks build a
@@ -93,6 +100,9 @@ class SocketMachine final : public Machine {
     /// Deferred deliveries (send_after, injected delays), keyed by the
     /// absolute machine-time deadline; promoted into `queue` when due.
     std::multimap<double, MessagePtr> delayed;
+    /// Bumped under `mutex` by every post (queue or delayed), so an idle
+    /// owner can poll for work without taking the lock (pe_loop).
+    std::atomic<std::uint64_t> posts{0};
   };
 
   /// Per-local-PE ft protocol state, touched only by the owning thread.
@@ -102,9 +112,14 @@ class SocketMachine final : public Machine {
   };
 
   /// One peer rank's connection. `outq`/`down` are guarded by
-  /// out_mutex_ (producers are PE threads, consumer is the comm
-  /// thread); everything else is comm-thread-only.
+  /// `out_mutex` (producers are the sending threads, consumer is the
+  /// comm thread), and so is every write to the socket while `outq` is
+  /// empty (ship's inline path). `out_off` is set by an inline partial
+  /// write under the lock and otherwise advanced by the comm thread,
+  /// which alone writes while `outq` is non-empty. The rest is
+  /// comm-thread-only.
   struct Peer {
+    std::mutex out_mutex;
     cxnet::Fd fd;
     cxnet::FrameReader reader;
     std::deque<std::vector<std::byte>> outq;
@@ -121,6 +136,10 @@ class SocketMachine final : public Machine {
   }
 
   void pe_loop(int pe);
+  /// Spin (pause, with the odd yield) until `mb` sees a post past
+  /// `seen`, machine time reaches `until`, or stop/failure is flagged.
+  /// Returns true if a post was seen. Called without the mailbox lock.
+  bool poll_mailbox(const Mailbox& mb, std::uint64_t seen, double until);
   void enqueue(int dst, MessagePtr msg);
   void enqueue_delayed(int dst, MessagePtr msg, double deadline);
   void deliver(MessagePtr msg);
@@ -187,8 +206,14 @@ class SocketMachine final : public Machine {
   std::mutex failure_mutex_;
   std::vector<std::uint8_t> failure_notified_;  ///< guarded by failure_mutex_
 
+  /// An out-of-work PE polls its mailbox before parking only when every
+  /// PE thread on this host can have a core: nranks * ppn (cxrun forks
+  /// every rank here) <= the CPUs this process may run on. Comm threads
+  /// are not counted: they sleep in epoll between frames (DESIGN §14
+  /// has the measurement behind both choices). Fixed at construction.
+  bool poll_idle_ = false;
+
   std::vector<Peer> peers_;  ///< indexed by rank; self entry unused
-  std::mutex out_mutex_;
   int epoll_fd_ = -1;
   int wake_r_ = -1, wake_w_ = -1;  ///< self-pipe to rouse the comm thread
   std::thread comm_thread_;

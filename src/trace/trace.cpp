@@ -115,6 +115,8 @@ CX_TRACE_FAMILY(WhenEngineStats, WhenAtomics, when, CX_TRACE_WHEN_FIELDS)
 CX_TRACE_FAMILY(PoolStats, PoolAtomics, pool, CX_TRACE_POOL_FIELDS)
 CX_TRACE_FAMILY(SectionStats, SectionAtomics, section,
                 CX_TRACE_SECTION_FIELDS)
+CX_TRACE_FAMILY(MachineStats, MachineAtomics, machine,
+                CX_TRACE_MACHINE_FIELDS)
 #undef CX_TRACE_FAMILY
 #undef CX_TRACE_ROW
 
@@ -326,12 +328,15 @@ PoolStats pool_stats() noexcept {
 
 SectionStats section_stats() noexcept { return snapshot<SectionStats>(); }
 
+MachineStats machine_stats() noexcept { return snapshot<MachineStats>(); }
+
 void reset_stats() noexcept {
   for_each_shard([](detail::StatShard& sh) {
     zero<WireStats>(sh);
     zero<WhenEngineStats>(sh);
     zero<PoolStats>(sh);
     zero<SectionStats>(sh);
+    zero<MachineStats>(sh);
     for (auto& bucket : sh.pool.lat_hist) {
       bucket.store(0, std::memory_order_relaxed);
     }
@@ -547,6 +552,13 @@ std::string summary_table() {
        << w.agg_flush_count << " count / " << w.agg_flush_idle << " idle / "
        << w.agg_flush_order << " ordering\n";
   }
+  const MachineStats ms = machine_stats();
+  if (ms.idle_polls + ms.parks + ms.frames_inline + ms.frames_queued > 0) {
+    os << "\ncx::machine: " << ms.idle_polls << " idle polls ("
+       << ms.poll_hits << " found work), " << ms.parks << " parks, "
+       << ms.frames_inline << " frames written inline, "
+       << ms.frames_queued << " queued for the comm thread\n";
+  }
   const SectionStats ss = section_stats();
   if (ss.sections_built + ss.mcasts + ss.contributions > 0) {
     os << "\ncx::sections: " << ss.sections_built << " built, " << ss.mcasts
@@ -627,6 +639,8 @@ void write_json(std::ostream& os) {
   json_family(os, "wire", w);
   os << ",\"pool_hit_rate\":" << w.hit_rate() << '}';
   json_family(os, "sections", section_stats());
+  os << '}';
+  json_family(os, "machine", machine_stats());
   os << '}';
   const PoolStats pool = pool_stats();
   json_family(os, "pool", pool);

@@ -388,6 +388,31 @@ struct SectionAtomics { CX_TRACE_SECTION_FIELDS(CX_TRACE_ATOMIC_FIELD) };
 /// Snapshot of the section counters since begin_run()/reset_stats().
 [[nodiscard]] SectionStats section_stats() noexcept;
 
+// ---- PE-thread machine hand-off counters -----------------------------------
+//
+// SocketMachine (threaded and cxrun runs) reports which hand-off path
+// its messages took: how an out-of-work PE waited (a bounded poll of its
+// mailbox, then a park on the condition variable), and whether a frame
+// to a peer rank went straight onto the socket from the sending thread
+// or through the comm thread's queue. Always on (relaxed adds on the
+// calling thread's shard), so a run shows its path without --trace.
+
+#define CX_TRACE_MACHINE_FIELDS(X)                                            \
+  X(idle_polls, sum)    /* mailbox polls begun by an out-of-work PE */        \
+  X(poll_hits, sum)     /* polls that saw a post before the window closed */  \
+  X(parks, sum)         /* condition-variable waits by an out-of-work PE */   \
+  X(frames_inline, sum) /* frames written whole by the sending thread */      \
+  X(frames_queued, sum) /* frames (or their tails) left to the comm thread */
+
+struct MachineStats { CX_TRACE_MACHINE_FIELDS(CX_TRACE_U64_FIELD) };
+
+namespace detail {
+struct MachineAtomics { CX_TRACE_MACHINE_FIELDS(CX_TRACE_ATOMIC_FIELD) };
+}  // namespace detail
+
+/// Snapshot of the machine counters since begin_run()/reset_stats().
+[[nodiscard]] MachineStats machine_stats() noexcept;
+
 namespace detail {
 
 /// One thread's share of every always-on stat family. Aligned so that
@@ -397,6 +422,7 @@ struct alignas(64) StatShard {
   WhenAtomics when;
   PoolAtomics pool;
   SectionAtomics section;
+  MachineAtomics machine;
 };
 
 /// The calling thread's shard; null until the thread's first bump.
@@ -416,6 +442,7 @@ inline WireAtomics& wire() noexcept { return shard().wire; }
 inline WhenAtomics& when() noexcept { return shard().when; }
 inline PoolAtomics& pool() noexcept { return shard().pool; }
 inline SectionAtomics& section() noexcept { return shard().section; }
+inline MachineAtomics& machine() noexcept { return shard().machine; }
 
 }  // namespace detail
 

@@ -307,4 +307,39 @@ TEST(RuntimeBasic, UnknownEntryIdInMessageIsDropped) {
   });
 }
 
+struct Contributor : Chare {
+  void add(CombineId combiner, Future<int> f) {
+    contribute(this_index()[0] + 1, combiner, cb(f));
+  }
+  void sect_add(SectionProxy<Contributor> s, CombineId combiner,
+                Future<int> f) {
+    contribute(s, this_index()[0] + 1, combiner, cb(f));
+  }
+};
+
+TEST(RuntimeBasic, UnknownCombinerIdInContributionIsDropped) {
+  // A combiner id read off a contribution message indexes the combiner
+  // registry; an id nothing registered must drop that contribution
+  // (logged) before it touches reduction state, not end the PE thread.
+  // Each element's second contribution is a new reduction, which must
+  // still complete.
+  run_program(threaded_cfg(2), [] {
+    constexpr CombineId kBogus = 0xFFFFFF00u;
+    auto arr = create_array<Contributor>({4});
+    auto lost = make_future<int>();
+    arr.broadcast_done<&Contributor::add>(kBogus, lost).get();
+    auto sum = make_future<int>();
+    arr.broadcast<&Contributor::add>(reducer::sum<int>(), sum);
+    EXPECT_EQ(sum.get(), 1 + 2 + 3 + 4);
+
+    auto s = arr.section({0, 1, 3});
+    auto slost = make_future<int>();
+    s.broadcast_done<&Contributor::sect_add>(s, kBogus, slost).get();
+    auto ssum = make_future<int>();
+    s.broadcast<&Contributor::sect_add>(s, reducer::sum<int>(), ssum);
+    EXPECT_EQ(ssum.get(), 1 + 2 + 4);
+    cx::exit();
+  });
+}
+
 }  // namespace

@@ -30,6 +30,7 @@
 #include "net/socket_util.hpp"
 #include "net/wireup.hpp"
 #include "pup/pup.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -407,6 +408,91 @@ TEST(SocketJob, RingDigestMatchesThreaded) {
   std::uint64_t digest = 0;
   ASSERT_TRUE(read_exact(job.out[0], &digest, sizeof(digest)));
   EXPECT_EQ(digest, expected);
+  for (pid_t pid : job.pids) {
+    const ExitStatus st = wait_child(pid);
+    EXPECT_FALSE(st.signaled);
+    EXPECT_EQ(st.code, 0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Frame order across the two write paths: a sending PE writes a small
+// frame straight to the peer socket when nothing is queued for that
+// peer, and leaves large frames (and anything behind them) to the comm
+// thread. Interleaving 64 B and 256 KiB payloads drives both paths and
+// every switch between them; the receiver checks sequence order and
+// every byte.
+
+constexpr std::uint32_t kMixedFrames = 96;
+
+bool mixed_is_large(std::uint32_t seq) { return seq % 4 == 3 || seq % 9 == 8; }
+
+std::vector<std::byte> mixed_payload(std::uint32_t seq) {
+  std::vector<std::byte> b(mixed_is_large(seq) ? 256 * 1024 : 64);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::byte>((seq * 131u + i * 7u) & 0xffu);
+  }
+  // The first four bytes carry the sequence number itself.
+  std::memcpy(b.data(), &seq, sizeof(seq));
+  return b;
+}
+
+TEST(SocketJob, MixedFrameSizesKeepFifoOrder) {
+  // Rank 0 reports {frames written inline, frames queued}; rank 1
+  // reports {frames received in order and intact, first bad sequence}.
+  Job job = spawn_ranks(2, 1, [](int rank, int wfd) {
+    cxm::MachineConfig cfg;  // Threaded request; CXRUN_* upgrades it
+    auto m = cxm::make_machine(cfg);
+    std::uint32_t good = 0;
+    std::uint32_t first_bad = UINT32_MAX;
+    const std::uint32_t data_h =
+        m->register_handler([&](cxm::MessagePtr msg) {
+          const std::uint32_t seq = good;
+          const std::vector<std::byte> want = mixed_payload(seq);
+          const bool intact =
+              msg->data.size() == want.size() &&
+              std::memcmp(msg->data.data(), want.data(), want.size()) == 0;
+          if (first_bad == UINT32_MAX && intact) {
+            ++good;
+          } else if (first_bad == UINT32_MAX) {
+            first_bad = seq;
+          }
+          if (good == kMixedFrames || first_bad != UINT32_MAX) m->stop();
+        });
+    const std::uint32_t start_h = m->register_handler([&](cxm::MessagePtr) {
+      for (std::uint32_t seq = 0; seq < kMixedFrames; ++seq) {
+        auto out = std::make_unique<cxm::Message>();
+        out->handler = data_h;
+        out->dst_pe = 1;
+        out->data = mixed_payload(seq);
+        m->send(std::move(out));
+      }
+    });
+    const cx::trace::MachineStats before = cx::trace::machine_stats();
+    if (rank == 0) {
+      auto kick = std::make_unique<cxm::Message>();
+      kick->handler = start_h;
+      kick->dst_pe = 0;
+      m->send(std::move(kick));
+    }
+    m->run();
+    const cx::trace::MachineStats after = cx::trace::machine_stats();
+    const std::uint64_t report[2] = {
+        rank == 0 ? after.frames_inline - before.frames_inline : good,
+        rank == 0 ? after.frames_queued - before.frames_queued : first_bad};
+    write_exact(wfd, report, sizeof(report));
+  });
+
+  std::uint64_t sender[2] = {0, 0};
+  std::uint64_t receiver[2] = {0, 0};
+  ASSERT_TRUE(read_exact(job.out[0], sender, sizeof(sender)));
+  ASSERT_TRUE(read_exact(job.out[1], receiver, sizeof(receiver)));
+  EXPECT_EQ(receiver[0], kMixedFrames) << "first bad sequence " << receiver[1];
+  EXPECT_EQ(receiver[1], UINT32_MAX);
+  // Both write paths ran: the first frame finds an empty queue, and the
+  // 256 KiB frames always go to the comm thread.
+  EXPECT_GT(sender[0], 0u);
+  EXPECT_GT(sender[1], 0u);
   for (pid_t pid : job.pids) {
     const ExitStatus st = wait_child(pid);
     EXPECT_FALSE(st.signaled);

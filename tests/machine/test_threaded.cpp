@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,6 +13,7 @@
 
 #include "machine/machine.hpp"
 #include "pup/pup.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -215,6 +219,121 @@ TEST(ThreadedMachine, SinglePe) {
   }
   m->run();
   EXPECT_EQ(runs, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Idle hand-off: an out-of-work PE polls its mailbox for a bounded window
+// before it parks on the condition variable, unless the host has fewer
+// cores than PE threads. The machine counters (cx::trace::machine_stats)
+// show which path a run took.
+
+TEST(ThreadedMachine, NoLostWakeupUnderBurstyTraffic) {
+  // Bursts of messages hop around 4 PEs. Between bursts every PE runs
+  // out of work and sits idle for a gap drawn, from a fixed seed, from
+  // both sides of the 200 us poll window, so a burst lands on polling
+  // PEs or on parked ones. Every burst must arrive within a bound: a
+  // lost wake-up fails the test instead of hanging it.
+  constexpr int kPes = 4;
+  constexpr int kBursts = 150;
+  constexpr int kPerBurst = 16;
+  constexpr int kHops = 3;
+  auto m = make_machine(threaded(kPes));
+  std::atomic<int> arrived{0};
+  std::uint32_t h = 0;
+  h = m->register_handler([&](MessagePtr msg) {
+    const int hops = pup::from_bytes<int>(msg->data);
+    if (hops == 0) {
+      arrived.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    auto out = std::make_unique<Message>();
+    out->handler = h;
+    out->dst_pe = (m->current_pe() + 1) % kPes;
+    int next = hops - 1;
+    out->data = pup::to_bytes(next);
+    m->send(std::move(out));
+  });
+  cx::trace::reset_stats();
+  std::thread runner([&] { m->run(); });
+
+  std::mt19937 rng(20261019u);
+  std::uniform_int_distribution<int> inside_us(5, 120);
+  std::uniform_int_distribution<int> past_us(300, 1500);
+  std::uniform_int_distribution<int> any_pe(0, kPes - 1);
+  int lost_burst = -1;
+  for (int b = 0; b < kBursts && lost_burst < 0; ++b) {
+    const int gap = (rng() & 1u) != 0 ? inside_us(rng) : past_us(rng);
+    std::this_thread::sleep_for(std::chrono::microseconds(gap));
+    for (int i = 0; i < kPerBurst; ++i) {
+      auto msg = std::make_unique<Message>();
+      msg->handler = h;
+      msg->dst_pe = any_pe(rng);
+      int hops = kHops;
+      msg->data = pup::to_bytes(hops);
+      m->send(std::move(msg));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (arrived.load(std::memory_order_acquire) < (b + 1) * kPerBurst) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        lost_burst = b;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+    }
+  }
+  m->stop();
+  runner.join();
+  ASSERT_EQ(lost_burst, -1) << "burst " << lost_burst
+                            << " did not arrive: lost wake-up";
+  EXPECT_EQ(arrived.load(), kBursts * kPerBurst);
+  const cx::trace::MachineStats s = cx::trace::machine_stats();
+  if (s.idle_polls > 0) {
+    // Polling host: some bursts (or hops) landed inside a poll window.
+    EXPECT_GT(s.poll_hits, 0u);
+  }
+  EXPECT_GT(s.parks, 0u);  // and the long gaps outlasted it
+}
+
+TEST(ThreadedMachine, OversubscribedRunParksWithoutPolling) {
+  // More PE threads than cores: an out-of-work PE must park at once
+  // instead of spinning on a core another PE needs.
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores == 0 || cores >= 64) {
+    GTEST_SKIP() << "needs a known core count below 64, have " << cores;
+  }
+  const int pes = std::max(8, static_cast<int>(cores) + 1);
+  auto m = make_machine(threaded(pes));
+  const int total_hops = 3 * pes;
+  std::atomic<int> hops_seen{0};
+  std::uint32_t h = 0;
+  h = m->register_handler([&](MessagePtr msg) {
+    const int hop = pup::from_bytes<int>(msg->data);
+    hops_seen.fetch_add(1);
+    if (hop + 1 == total_hops) {
+      m->stop();
+      return;
+    }
+    auto out = std::make_unique<Message>();
+    out->handler = h;
+    out->dst_pe = (m->current_pe() + 1) % pes;
+    int next = hop + 1;
+    out->data = pup::to_bytes(next);
+    m->send(std::move(out));
+  });
+  auto first = std::make_unique<Message>();
+  first->handler = h;
+  first->dst_pe = 0;
+  int zero = 0;
+  first->data = pup::to_bytes(zero);
+  m->send(std::move(first));
+  cx::trace::reset_stats();
+  m->run();
+  EXPECT_EQ(hops_seen.load(), total_hops);
+  const cx::trace::MachineStats s = cx::trace::machine_stats();
+  EXPECT_EQ(s.idle_polls, 0u);
+  EXPECT_EQ(s.poll_hits, 0u);
+  EXPECT_GT(s.parks, 0u);
 }
 
 }  // namespace

@@ -307,6 +307,8 @@ TEST(Trace, JsonCarriesEveryCounter) {
       "steal_hits", "steal_hit_rate", "stolen_tasks", "result_batches",
       "tasks_done", "beats", "reassigns", "inflight_clamps",
       "queue_high_water", "mean_task_s", "p99_task_s", "jobs"};
+  const std::set<std::string> machine = {"idle_polls", "poll_hits", "parks",
+                                         "frames_inline", "frames_queued"};
   EXPECT_EQ(object_keys(json, "total"), total);
   EXPECT_EQ(object_keys(json, "when"), when);
   EXPECT_EQ(object_keys(json, "wire"), wire);
@@ -314,6 +316,14 @@ TEST(Trace, JsonCarriesEveryCounter) {
   std::set<std::string> pool_keys = object_keys(json, "pool");
   pool_keys.erase("task_ns_sum");  // the one key allowed beyond the schema
   EXPECT_EQ(pool_keys, pool);
+  EXPECT_EQ(object_keys(json, "machine"), machine);
+  // The machine object sits between sections and pool.
+  const std::size_t at_sections = json.find("\"sections\":{");
+  const std::size_t at_machine = json.find("\"machine\":{");
+  const std::size_t at_pool = json.find("\"pool\":{");
+  ASSERT_NE(at_machine, std::string::npos);
+  EXPECT_LT(at_sections, at_machine);
+  EXPECT_LT(at_machine, at_pool);
   // Every kind has its own name in the timeline.
   std::set<std::string> names;
   const int last = static_cast<int>(trace::EventKind::FtRecover);
