@@ -160,6 +160,16 @@ class Chare {
   /// dynamic layer calls this automatically on every attribute access.
   void mark_when_dirty(AttrKey attr) { dirty_.mark(attr); }
 
+  /// The dirty-clock tick slot of `attr`, valid for this chare's
+  /// lifetime: a writer that caches it marks through
+  /// mark_when_dirty_slot instead of scanning for the key each time.
+  [[nodiscard]] std::uint64_t* when_dirty_slot(AttrKey attr) {
+    return dirty_.slot_for(attr);
+  }
+  void mark_when_dirty_slot(std::uint64_t* tick) noexcept {
+    dirty_.mark_slot(tick);
+  }
+
   /// Contribute to the current reduction of this chare's collection
   /// (paper §II-F). `target` receives the combined result.
   /// Defined in charm.hpp.

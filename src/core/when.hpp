@@ -68,21 +68,18 @@ struct WhenDeps {
 class DirtyClock {
  public:
   /// Record a write of attribute `k` (bumps the clock).
-  void mark(AttrKey k) {
-    ++now_;
-    for (auto& m : marks_) {
-      if (m.first == k) {
-        m.second = now_;
-        return;
-      }
-    }
-    marks_.emplace_back(k, now_);
-  }
+  void mark(AttrKey k) { mark_slot(slot_for(k)); }
+
+  /// Record a write through a tick slot from slot_for: the same state
+  /// as mark(k) for the slot's key, without the key scan.
+  void mark_slot(std::uint64_t* tick) noexcept { *tick = ++now_; }
 
   [[nodiscard]] std::uint64_t now() const noexcept { return now_; }
 
   /// Address-stable tick slot for `k` (created at 0 if never marked).
-  [[nodiscard]] const std::uint64_t* slot_for(AttrKey k) {
+  /// It stays valid for the clock's lifetime: readers cache it to check
+  /// a dependency, writers to mark through mark_slot.
+  [[nodiscard]] std::uint64_t* slot_for(AttrKey k) {
     for (auto& m : marks_) {
       if (m.first == k) return &m.second;
     }

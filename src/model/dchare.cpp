@@ -25,6 +25,7 @@ bool dyn_when(DChare& self, const std::string& method, const Args& args) {
   ctx.self = &self.attrs();
   ctx.params = &def->params;
   ctx.args = &args;
+  ctx.chare = &self;
   return def->when_cond.test(ctx);
 }
 
@@ -68,7 +69,8 @@ Value index_value(const cx::Index& idx) {
 }  // namespace
 
 DChare::DChare(std::string cls, Args ctor_args) : cls_(std::move(cls)) {
-  if (!class_exists(cls_)) {
+  adopt_class_hint();
+  if (slot_hint_ == nullptr) {
     throw std::runtime_error("NameError: dynamic class '" + cls_ +
                              "' is not registered");
   }
@@ -97,20 +99,48 @@ void DChare::dyn_result(std::pair<std::string, Value> tagged) {
   (void)dyn_call(std::move(tagged.first), std::move(args));
 }
 
-Value& DChare::operator[](const std::string& name) {
+Value& DChare::operator[](std::string_view name) {
   // Every access through the attribute operator may be a write (it
   // returns a mutable reference), so conservatively mark the attribute
   // dirty for the when-condition engine. Condition evaluation itself
-  // reads the dict directly (EvalCtx) and does not mark.
-  mark_when_dirty(cx::attr_key(name));
-  return attrs_.as_dict()[name];
+  // reads through slot_value and does not mark.
+  const cx::AttrKey key = cx::attr_key(name);
+  if (const AttrSlot* s = find_slot(key, name)) {
+    mark_when_dirty_slot(s->tick);
+    return *s->val;
+  }
+  return bind_slot(name, key);
+}
+
+/// Slow path of operator[]: resolve `name` in the dict (creating it as
+/// None) and in the dirty clock, and remember both in a new slot.
+Value& DChare::bind_slot(std::string_view name, cx::AttrKey key) {
+  auto& entry = *attrs_.as_dict().try_emplace(std::string(name)).first;
+  slots_.push_back({key, &entry.first, &entry.second, when_dirty_slot(key)});
+  if (slot_hint_ != nullptr &&
+      slots_.size() > slot_hint_->load(std::memory_order_relaxed)) {
+    slot_hint_->store(static_cast<std::uint32_t>(slots_.size()),
+                      std::memory_order_relaxed);
+  }
+  mark_when_dirty_slot(slots_.back().tick);
+  return entry.second;
+}
+
+/// Look up this class's slot-count hint and size the slot table by it,
+/// so a fresh instance allocates the table once.
+void DChare::adopt_class_hint() {
+  slot_hint_ = attr_slot_hint(cls_);
+  if (slot_hint_ != nullptr) {
+    slots_.reserve(slot_hint_->load(std::memory_order_relaxed));
+  }
 }
 
 const MethodDef* DChare::find_method_cached(const std::string& method) const {
-  const auto it = method_cache_.find(method);
-  if (it != method_cache_.end()) return it->second;
+  for (const auto& [name, def] : method_cache_) {
+    if (name == method) return def;
+  }
   const MethodDef* def = find_method(cls_, method);
-  if (def != nullptr) method_cache_.emplace(method, def);
+  if (def != nullptr) method_cache_.emplace_back(method, def);
   return def;
 }
 
@@ -121,6 +151,17 @@ bool DChare::has_attr(const std::string& name) const {
 void DChare::pup(pup::Er& p) {
   p | cls_;
   attrs_.pup(p);
+  if (!p.unpacking()) return;
+  if (attrs_.kind() != Kind::Dict) {
+    const Kind got = attrs_.kind();
+    attrs_ = Value::dict({});
+    throw CorruptStateError("TypeError: unpacked state of dynamic class '" +
+                            cls_ + "' is a " + kind_name(got) +
+                            ", not an attribute dict");
+  }
+  slots_.clear();
+  method_cache_.clear();
+  adopt_class_hint();
 }
 
 void DChare::resume_from_sync() {
@@ -138,6 +179,7 @@ void DChare::wait_until(const std::string& condition) {
   wait([this, expr]() {
     EvalCtx ctx;
     ctx.self = &attrs_;
+    ctx.chare = this;
     return expr.test(ctx);
   });
 }

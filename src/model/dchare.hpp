@@ -16,9 +16,13 @@
 //     return cpy::Value::none();
 //   });
 
+#include <atomic>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/charm.hpp"
 #include "model/dclass.hpp"
@@ -37,6 +41,12 @@ struct DTarget {
     t.raw = cx::Callback::to_future(slot);
     return t;
   }
+};
+
+/// Unpacked chare state that is not an attribute dict: a corrupt or
+/// foreign blob, rejected where it is decoded.
+struct CorruptStateError : std::runtime_error {
+  using std::runtime_error::runtime_error;
 };
 
 class DChare : public cx::Chare {
@@ -58,7 +68,19 @@ class DChare : public cx::Chare {
   // --- state ---------------------------------------------------------------
 
   /// Attribute access (creates the attribute on write, like Python).
-  Value& operator[](const std::string& name);
+  /// Marks the attribute dirty for the when-condition engine. The first
+  /// access of a name resolves it into this instance's slot table; later
+  /// ones find the slot by key and name and skip the dict.
+  Value& operator[](std::string_view name);
+
+  /// Read-only slot lookup for condition evaluation: the attribute's
+  /// value if this instance has resolved `name` (whose attr_key is
+  /// `key`), else nullptr — the caller then reads attrs(). Marks nothing.
+  [[nodiscard]] const Value* slot_value(cx::AttrKey key,
+                                        std::string_view name) const noexcept {
+    const AttrSlot* s = find_slot(key, name);
+    return s == nullptr ? nullptr : s->val;
+  }
   [[nodiscard]] bool has_attr(const std::string& name) const;
   /// The whole attribute dict as a Value (shared reference).
   [[nodiscard]] const Value& attrs() const noexcept { return attrs_; }
@@ -70,10 +92,14 @@ class DChare : public cx::Chare {
   /// (MethodDef storage is node-based, so the pointers stay valid and
   /// see later redefinitions in place). Returns nullptr if unknown;
   /// misses are not cached, so methods defined later are still found.
+  /// The cache is a short vector: a class has few methods, and a scan
+  /// that compares lengths first beats hashing the name.
   [[nodiscard]] const MethodDef* find_method_cached(
       const std::string& method) const;
 
   /// Automatic migration serialization: class name + attribute dict.
+  /// Unpacking throws CorruptStateError if the state is not a dict, and
+  /// drops the slot table (its pointers led into the replaced dict).
   void pup(pup::Er& p) override;
 
   /// Calls the dynamic method "resumeFromSync" after load balancing.
@@ -107,13 +133,38 @@ class DChare : public cx::Chare {
   static double sim_dispatch_overhead() noexcept;
 
  private:
+  /// One resolved attribute: its dict entry and its dirty-clock tick.
+  /// Both are node-stable (std::map node, DirtyClock deque), so a slot
+  /// stays valid until the dict itself is replaced, which only pup's
+  /// unpack does. Attributes are never erased from the dict.
+  struct AttrSlot {
+    cx::AttrKey key;
+    const std::string* name;
+    Value* val;
+    std::uint64_t* tick;
+  };
+
+  [[nodiscard]] const AttrSlot* find_slot(cx::AttrKey key,
+                                          std::string_view name) const noexcept {
+    for (const AttrSlot& s : slots_) {
+      if (s.key == key && *s.name == name) return &s;
+    }
+    return nullptr;
+  }
   const MethodDef& resolve(const std::string& method) const;
+  Value& bind_slot(std::string_view name, cx::AttrKey key);
+  void adopt_class_hint();
 
   std::string cls_;
+  /// The single source of truth for attributes; slots_ only index it.
   Value attrs_ = Value::dict({});
+  std::vector<AttrSlot> slots_;
+  /// The class's slot-count hint (see attr_slot_hint); sizes slots_ once.
+  std::atomic<std::uint32_t>* slot_hint_ = nullptr;
   /// Per-instance resolution cache (positive entries only; not pupped —
   /// it repopulates after migration).
-  mutable std::unordered_map<std::string, const MethodDef*> method_cache_;
+  mutable std::vector<std::pair<std::string, const MethodDef*>>
+      method_cache_;
 };
 
 }  // namespace cpy

@@ -1,5 +1,6 @@
 #include "model/dclass.hpp"
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -12,6 +13,7 @@ namespace {
 struct ClassImpl {
   // std::map: node-based, so MethodDef addresses stay stable.
   std::map<std::string, MethodDef> methods;
+  std::atomic<std::uint32_t> attr_slot_hint{0};
 };
 
 struct ClassRegistry {
@@ -30,10 +32,22 @@ struct ClassRegistry {
     return *slot;
   }
 
+  /// Lock-free on a hit: classes are never erased, so a class found
+  /// once stays valid for the process lifetime, and each thread keeps
+  /// the classes it found. Misses take the lock and are not kept, so a
+  /// class defined later is still found.
   ClassImpl* find(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = classes.find(name);
-    return it == classes.end() ? nullptr : it->second.get();
+    thread_local std::unordered_map<std::string, ClassImpl*> seen;
+    const auto hit = seen.find(name);
+    if (hit != seen.end()) return hit->second;
+    ClassImpl* impl = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      const auto it = classes.find(name);
+      if (it != classes.end()) impl = it->second.get();
+    }
+    if (impl != nullptr) seen.emplace(name, impl);
+    return impl;
   }
 };
 
@@ -108,6 +122,11 @@ const MethodDef* find_method(const std::string& cls,
 
 bool class_exists(const std::string& cls) {
   return ClassRegistry::instance().find(cls) != nullptr;
+}
+
+std::atomic<std::uint32_t>* attr_slot_hint(const std::string& cls) {
+  ClassImpl* impl = ClassRegistry::instance().find(cls);
+  return impl == nullptr ? nullptr : &impl->attr_slot_hint;
 }
 
 }  // namespace cpy

@@ -18,6 +18,8 @@
 // Classes register globally by name at construction; instances are
 // created with cpy::create_chare / create_group / create_array.
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -69,11 +71,17 @@ class DClass {
 };
 
 /// Look up a method; returns nullptr if the class or method is unknown.
-/// The returned pointer stays valid for the process lifetime.
+/// The returned pointer stays valid for the process lifetime. Takes no
+/// lock once the calling thread has found the class.
 const MethodDef* find_method(const std::string& cls,
                              const std::string& method);
 
 /// True if the class exists in the registry.
 bool class_exists(const std::string& cls);
+
+/// Slot-table capacity hint of class `cls`: the most attributes one of
+/// its instances has resolved so far. Null for an unknown class;
+/// otherwise valid for the process lifetime.
+std::atomic<std::uint32_t>* attr_slot_hint(const std::string& cls);
 
 }  // namespace cpy

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "model/dchare.hpp"
+
 namespace cpy {
 
 namespace {
@@ -202,6 +204,7 @@ struct Expr::Node {
   Op op = Op::Const;
   Value lit;
   std::string name;  // Name / SelfAttr / Attr member / Call function
+  cx::AttrKey key = 0;  // SelfAttr: attr_key(name), hashed once here
   std::shared_ptr<const Node> a, b;
   std::vector<std::shared_ptr<const Node>> args;  // Call args / chain operands
   std::vector<Op> cmps;  // CmpChain comparators (args.size() - 1 of them)
@@ -378,6 +381,7 @@ class Parser {
           // time, and the unit of dependency extraction.
           n->op = Op::SelfAttr;
           n->name = cur_.text;
+          n->key = cx::attr_key(n->name);
         } else {
           n->op = Op::Attr;
           n->name = cur_.text;
@@ -523,7 +527,12 @@ Value resolve_name(const EvalCtx& ctx, const std::string& name) {
                            "' is not defined in this condition");
 }
 
-Value self_attr(const EvalCtx& ctx, const std::string& name) {
+Value self_attr(const EvalCtx& ctx, const Node& n) {
+  const std::string& name = n.name;
+  if (ctx.chare != nullptr) {
+    // Fastest path: the chare's resolved slot for this attribute.
+    if (const Value* v = ctx.chare->slot_value(n.key, name)) return *v;
+  }
   if (ctx.self != nullptr && ctx.self->kind() == Kind::Dict) {
     // Fast path: keyed lookup in the attribute dict, no Value boxing.
     const Dict& d = ctx.self->as_dict();
@@ -538,7 +547,7 @@ Value eval_node(const Node& n, const EvalCtx& ctx) {
   switch (n.op) {
     case Op::Const: return n.lit;
     case Op::Name: return resolve_name(ctx, n.name);
-    case Op::SelfAttr: return self_attr(ctx, n.name);
+    case Op::SelfAttr: return self_attr(ctx, n);
     case Op::Attr: {
       const Value base = eval_node(*n.a, ctx);
       return base.item(Value(n.name));
@@ -620,7 +629,7 @@ Value eval_node(const Node& n, const EvalCtx& ctx) {
 /// `self['x']` or `len(self)`).
 void collect_deps(const Node& n, cx::WhenDeps& deps, bool& opaque) {
   if (n.op == Op::SelfAttr) {
-    deps.add(cx::attr_key(n.name));
+    deps.add(n.key);
   } else if (n.op == Op::Name && n.name == "self") {
     opaque = true;
   }

@@ -34,6 +34,8 @@
 
 namespace cpy {
 
+class DChare;
+
 /// Resolves a bare identifier during evaluation ("self" included).
 using NameResolver = std::function<Value(const std::string&)>;
 
@@ -41,12 +43,15 @@ using NameResolver = std::function<Value(const std::string&)>;
 /// NameResolver (which costs a std::function allocation per test).
 /// `self` resolves to the attribute dict; bare names resolve
 /// positionally through params/args; `fallback` (optional) handles
-/// anything else.
+/// anything else. `chare` (optional; the DChare whose dict `self` is)
+/// lets `self.<attr>` read the chare's resolved attribute slots before
+/// the dict.
 struct EvalCtx {
   const Value* self = nullptr;
   const std::vector<std::string>* params = nullptr;
   const Args* args = nullptr;
   const NameResolver* fallback = nullptr;
+  const DChare* chare = nullptr;
 };
 
 class Expr {

@@ -21,6 +21,7 @@ void pup_ndbuffer(pup::Er& p, std::shared_ptr<NdBuffer<T>>& arr) {
   p | arr->shape;
   std::uint64_t n = arr->data.size();
   p | n;
+  pup::check_count(p, n, sizeof(T));
   if (p.unpacking()) arr->data.resize(static_cast<std::size_t>(n));
   if (n != 0) {
     p.bytes(arr->data.data(), static_cast<std::size_t>(n) * sizeof(T));
@@ -392,6 +393,7 @@ void Value::pup(pup::Er& p) {
       p | b->is_tuple;
       std::uint64_t n = b->items.size();
       p | n;
+      pup::check_count(p, n, 1);  // every item packs at least its tag
       if (p.unpacking()) b->items.resize(static_cast<std::size_t>(n));
       for (auto& e : b->items) e.pup(p);
       break;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -12,6 +13,41 @@ using namespace cx;
 using cxtest::run_program;
 using cxtest::sim_cfg;
 using cxtest::threaded_cfg;
+
+// ---------------------------------------------------------------------------
+// DirtyClock: a write marked through a cached tick slot must leave the
+// clock exactly as marking the key does, for every later query.
+
+TEST(DirtyClock, MarkingASlotMatchesMarkByKey) {
+  const AttrKey x = attr_key("x"), y = attr_key("y"), z = attr_key("z");
+  WhenDeps on_x, on_y, on_z;
+  on_x.known = on_y.known = on_z.known = true;
+  on_x.add(x);
+  on_y.add(y);
+  on_z.add(z);
+
+  DirtyClock by_key, by_slot;
+  std::uint64_t* sx = by_slot.slot_for(x);  // created unmarked
+  std::uint64_t* sy = by_slot.slot_for(y);
+  EXPECT_EQ(by_slot.now(), 0u);
+  EXPECT_EQ(by_slot.slot_for(x), sx);  // one slot per key
+  const AttrKey writes[] = {x, y, x, x, y};
+  for (const AttrKey k : writes) {
+    by_key.mark(k);
+    by_slot.mark_slot(k == x ? sx : sy);
+    EXPECT_EQ(by_slot.now(), by_key.now());
+    EXPECT_EQ(*by_slot.slot_for(k), *by_key.slot_for(k));
+  }
+  for (std::uint64_t since = 0; since <= by_key.now(); ++since) {
+    for (const WhenDeps* d : {&on_x, &on_y, &on_z}) {
+      EXPECT_EQ(by_slot.any_since(*d, since), by_key.any_since(*d, since))
+          << "since " << since;
+    }
+  }
+  EXPECT_TRUE(by_slot.any_since(on_x, 3));   // x last marked at 4
+  EXPECT_FALSE(by_slot.any_since(on_y, 5));  // y last marked at 5
+  EXPECT_FALSE(by_slot.any_since(on_z, 0));  // never marked
+}
 
 // ---------------------------------------------------------------------------
 // A chare that only accepts messages matching its current iteration: the

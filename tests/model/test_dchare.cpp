@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "model/cpy.hpp"
 #include "test_helpers.hpp"
 
@@ -481,6 +483,184 @@ TEST(DChare, MigrationCarriesAttributeDictAutomatically) {
     ASSERT_EQ(hist.length(), 2u);
     EXPECT_EQ(hist.item(Value(0)).as_int(), 0);
     EXPECT_EQ(hist.item(Value(1)).as_int(), 2);
+    cx::exit();
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Attribute slots: an instance resolves each name once, then reads and
+// marks through its slot table. The tests below cover a table far past
+// any small fixed size, conditions reading attributes that have no slot
+// yet (they arrived by migration), and a corrupt migrated state.
+
+std::string wide_name(std::int64_t i) { return "a" + std::to_string(i); }
+constexpr std::int64_t kWide = 80;
+
+struct WideClass {
+  WideClass() {
+    DClass cls("Wide");
+    cls.def("__init__", {}, [](DChare& self, Args&) {
+      for (std::int64_t i = 0; i < kWide; ++i) self[wide_name(i)] = Value(i);
+      self["gated"] = Value(0);
+      return Value::none();
+    });
+    cls.def("sum", {}, [](DChare& self, Args&) {
+      std::int64_t total = 0;
+      for (std::int64_t i = 0; i < kWide; ++i) {
+        total += self[wide_name(i)].as_int();
+      }
+      return Value(total);
+    });
+    cls.def("bump", {"i"}, [](DChare& self, Args& a) {
+      Value& v = self[wide_name(a[0].as_int())];
+      v = v.as_int() + 1000;
+      return Value::none();
+    });
+    cls.def("gate", {}, [](DChare& self, Args&) {
+      self["gated"] = Value(1);
+      return Value::none();
+    });
+    cls.when("gate", "self.a70 > 1000");
+    cls.def("gated", {}, [](DChare& self, Args&) { return self["gated"]; });
+    cls.def("go_to", {"pe"}, [](DChare& self, Args& a) {
+      self.migrate_to(static_cast<int>(a[0].as_int()));
+      return Value::none();
+    });
+    cls.def("where", {}, [](DChare&, Args&) {
+      return Value(static_cast<std::int64_t>(cx::my_pe()));
+    });
+  }
+};
+const WideClass wide_class;
+
+TEST(DChareSlots, MoreThanSixtyFourAttributes) {
+  run_program(threaded_cfg(2), [] {
+    constexpr std::int64_t kSum = kWide * (kWide - 1) / 2;
+    auto w = create_chare("Wide", 0);
+    w.send("gate", {});  // a70 == 70: buffered
+    EXPECT_EQ(w.call("sum").get().as_int(), kSum);
+    EXPECT_EQ(w.call("gated").get().as_int(), 0);
+    w.send("bump", {Value(3)});  // not a dependency of gate
+    EXPECT_EQ(w.call("gated").get().as_int(), 0);
+    w.send("bump", {Value(70)});
+    while (w.call("gated").get().as_int() != 1) {
+    }
+    EXPECT_EQ(w.call("sum").get().as_int(), kSum + 2000);
+    // The table is rebuilt from the migrated dict on the new PE.
+    w.send("go_to", {Value(1)});
+    while (w.call("where").get().as_int() != 1) {
+    }
+    EXPECT_EQ(w.call("sum").get().as_int(), kSum + 2000);
+    w.send("bump", {Value(79)});
+    EXPECT_EQ(w.call("sum").get().as_int(), kSum + 3000);
+    cx::exit();
+  });
+}
+
+struct ArrivalClass {
+  ArrivalClass() {
+    DClass cls("Arrival");
+    cls.def("__init__", {}, [](DChare& self, Args&) {
+      self["open_below"] = Value(3);
+      self["log"] = Value::list({});
+      return Value::none();
+    });
+    cls.def("recv", {"k"}, [](DChare& self, Args& a) {
+      self["log"].as_list().push_back(a[0]);
+      return Value::none();
+    });
+    cls.when("recv", "k < self.open_below");
+    cls.def("reopen", {"below"}, [](DChare& self, Args& a) {
+      self["open_below"] = a[0];
+      return Value::none();
+    });
+    cls.def("log", {}, [](DChare& self, Args&) { return self["log"]; });
+    cls.def("go_to", {"pe"}, [](DChare& self, Args& a) {
+      self.migrate_to(static_cast<int>(a[0].as_int()));
+      return Value::none();
+    });
+    cls.def("where", {}, [](DChare&, Args&) {
+      return Value(static_cast<std::int64_t>(cx::my_pe()));
+    });
+  }
+};
+const ArrivalClass arrival_class;
+
+TEST(DChareSlots, WhenReadsAttributeThatArrivedByMigration) {
+  run_program(threaded_cfg(2), [] {
+    auto c = create_chare("Arrival", 0);
+    c.send("go_to", {Value(1)});
+    while (c.call("where").get().as_int() != 1) {
+    }
+    // On PE 1 nothing has touched open_below yet: the conditions read it
+    // from the migrated dict, not from a slot.
+    c.send("recv", {Value(5)});  // 5 < 3 fails: buffered
+    c.send("recv", {Value(1)});  // 1 < 3 holds
+    Value log;
+    while ((log = c.call("log").get()).length() < 1) {
+    }
+    EXPECT_EQ(log.length(), 1u);
+    EXPECT_EQ(log.item(Value(0)).as_int(), 1);
+    // The first write binds a slot and marks it: the buffered message
+    // must be re-tested and now pass.
+    c.send("reopen", {Value(10)});
+    while ((log = c.call("log").get()).length() < 2) {
+    }
+    EXPECT_EQ(log.item(Value(1)).as_int(), 5);
+    cx::exit();
+  });
+}
+
+TEST(DChareSlots, CorruptMigratedStateThrowsTypedErrorAtUnpack) {
+  std::string cls = "Arrival";
+  Value not_a_dict = Value::list({Value(1)});
+  const auto bad = pup::pack_args(cls, not_a_dict);
+  DChare bad_chare;
+  pup::Unpacker ub(bad.data(), bad.size());
+  EXPECT_THROW(bad_chare.pup(ub), CorruptStateError);
+  EXPECT_EQ(bad_chare.attrs().kind(), Kind::Dict);  // left usable
+
+  Value dict = Value::dict({{"open_below", Value(3)}});
+  const auto good = pup::pack_args(cls, dict);
+  DChare good_chare;
+  pup::Unpacker ug(good.data(), good.size());
+  good_chare.pup(ug);
+  EXPECT_EQ(good_chare["open_below"].as_int(), 3);
+}
+
+// Classes and methods defined while the runtime runs: the lock-free class
+// lookups must still find what a thread did not see earlier.
+TEST(DChareSlots, ClassAndMethodDefinedAfterStartAreFoundBySend) {
+  run_program(threaded_cfg(2), [] {
+    EXPECT_FALSE(class_exists("LateClass"));  // a miss is not remembered
+    DClass late("LateClass");
+    late.def("set", {"v"}, [](DChare& self, Args& a) {
+      self["v"] = a[0];
+      return Value::none();
+    });
+    late.def("get", {}, [](DChare& self, Args&) {
+      return self.has_attr("v") ? self["v"] : Value(0);
+    });
+    EXPECT_TRUE(class_exists("LateClass"));
+    auto c = create_chare("LateClass", 1);
+    c.send("set", {Value(4)});
+    while (c.call("get").get().as_int() != 4) {
+    }
+    // A threaded method added after the class was found and used: send
+    // must route it to the threaded entry, or wait_until would throw.
+    late.def_threaded("await_big", {}, [](DChare& self, Args&) {
+      self.wait_until("self.v > 10");
+      self["woke"] = Value(1);
+      return Value::none();
+    });
+    late.def("woke", {}, [](DChare& self, Args&) {
+      return self.has_attr("woke") ? self["woke"] : Value(0);
+    });
+    c.send("await_big", {});
+    EXPECT_EQ(c.call("woke").get().as_int(), 0);
+    c.send("set", {Value(11)});
+    while (c.call("woke").get().as_int() != 1) {
+    }
     cx::exit();
   });
 }

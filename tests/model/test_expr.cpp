@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "model/dchare.hpp"
+
 namespace {
 
 using namespace cpy;
@@ -213,6 +215,39 @@ TEST(Expr, DependencyExtraction) {
   const Expr chain = Expr::compile("self.lo <= x < self.hi");
   EXPECT_TRUE(chain.deps()->known);
   EXPECT_EQ(chain.deps()->attrs.size(), 2u);
+}
+
+// A chare's conditions read its resolved attribute slots first and fall
+// back to the dict for names it has not resolved (state that arrived by
+// migration or restore has no slots at all).
+TEST(Expr, SelfAttrReadsChareSlotsThenDict) {
+  std::string cls = "ExprSlots";
+  DClass def(cls);
+  Value state = Value::dict({{"step", Value(1)}, {"limit", Value(3)}});
+  const auto bytes = pup::pack_args(cls, state);
+  DChare c;  // as after migration: state only through pup
+  pup::Unpacker u(bytes.data(), bytes.size());
+  c.pup(u);
+  const Expr e = Expr::compile("self.step < self.limit");
+  EvalCtx ctx;
+  ctx.self = &c.attrs();
+  ctx.chare = &c;
+  EXPECT_EQ(c.slot_value(cx::attr_key("step"), "step"), nullptr);
+  EXPECT_TRUE(e.test(ctx));  // both from the dict
+
+  c["step"] = Value(5);  // binds a slot, writes through it
+  const Value* slot = c.slot_value(cx::attr_key("step"), "step");
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->as_int(), 5);
+  EXPECT_EQ(c.attrs().item(Value("step")).as_int(), 5);  // one storage
+  EXPECT_EQ(c.slot_value(cx::attr_key("limit"), "limit"), nullptr);
+  EXPECT_FALSE(e.test(ctx));  // step from the slot, limit from the dict
+  c["limit"] = Value(9);
+  EXPECT_TRUE(e.test(ctx));
+  // A name whose key matches but whose spelling differs is not a hit.
+  EXPECT_EQ(c.slot_value(cx::attr_key("step"), "stepx"), nullptr);
+  EXPECT_THROW((void)Expr::compile("self.missing").test(ctx),
+               std::out_of_range);
 }
 
 TEST(Expr, CompileCacheSharesAsts) {

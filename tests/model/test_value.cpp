@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "../alloc_watch.hpp"
+
 namespace {
 
 using namespace cpy;
@@ -109,6 +113,70 @@ TEST(Value, ArrayPupPreservesShape) {
   back.pup(u);
   EXPECT_EQ(back.as_f64_array()->shape,
             (std::vector<std::uint64_t>{2, 3}));
+}
+
+/// The packed bytes of `ts`, in order.
+template <typename... Ts>
+std::vector<std::byte> bytes_of(Ts... ts) {
+  return pup::pack_args(ts...);
+}
+
+/// Decode a Value from `blob`; return the largest allocation made on the
+/// way (the decode must throw std::length_error).
+std::size_t largest_request_decoding(const std::vector<std::byte>& blob) {
+  return alloc_watch::largest_request_throwing([&] {
+    Value v;
+    pup::Unpacker u(blob.data(), blob.size());
+    v.pup(u);
+  });
+}
+
+constexpr std::size_t kSmall = 4096;  // what the exception itself may take
+
+TEST(Value, HostileListCountThrowsBeforeAllocating) {
+  // tag list | is_tuple | count: 10 bytes claiming 2^22 items once asked
+  // for 320 MiB of Values. Every item packs at least its 1-byte tag.
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 22, std::uint64_t{1} << 40}) {
+    const auto blob = bytes_of(std::uint8_t{6}, false, n);
+    ASSERT_EQ(blob.size(), 10u);
+    EXPECT_LT(largest_request_decoding(blob), kSmall);
+  }
+  // Two items claimed, one byte left.
+  auto blob = bytes_of(std::uint8_t{6}, true, std::uint64_t{2});
+  blob.push_back(std::byte{0});
+  EXPECT_LT(largest_request_decoding(blob), kSmall);
+}
+
+TEST(Value, HostileArrayCountThrowsBeforeAllocating) {
+  // tag f64array | shape [n] | count n: 25 bytes claiming 2^26 doubles
+  // once asked for 512 MiB.
+  const std::uint64_t n = std::uint64_t{1} << 26;
+  const auto f64 = bytes_of(std::uint8_t{8}, std::uint64_t{1}, n, n);
+  ASSERT_EQ(f64.size(), 25u);
+  EXPECT_LT(largest_request_decoding(f64), kSmall);
+  const auto i64 = bytes_of(std::uint8_t{9}, std::uint64_t{0}, n);
+  EXPECT_LT(largest_request_decoding(i64), kSmall);
+  // Two doubles claimed, 15 bytes left.
+  auto blob = bytes_of(std::uint8_t{8}, std::uint64_t{0}, std::uint64_t{2});
+  blob.resize(blob.size() + 15);
+  EXPECT_LT(largest_request_decoding(blob), kSmall);
+}
+
+TEST(Value, CountsThatFitStillDecode) {
+  auto blob = bytes_of(std::uint8_t{8}, std::uint64_t{0}, std::uint64_t{2},
+                       1.5, 2.5);
+  Value v;
+  pup::Unpacker u(blob.data(), blob.size());
+  v.pup(u);
+  EXPECT_EQ(v.as_f64_array()->data, (std::vector<double>{1.5, 2.5}));
+  // A list of three Nones: exactly one tag byte per item.
+  blob = bytes_of(std::uint8_t{6}, false, std::uint64_t{3}, std::uint8_t{0},
+                  std::uint8_t{0}, std::uint8_t{0});
+  Value l;
+  pup::Unpacker ul(blob.data(), blob.size());
+  l.pup(ul);
+  EXPECT_EQ(l.length(), 3u);
 }
 
 TEST(Value, ApproxBytesTracksArraySizes) {

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -13,47 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-// Global operator new/delete that record the largest single request made
-// while a decode is being watched: a hostile element count has to be
-// rejected before its container allocates anything for it.
-namespace {
-std::atomic<bool> g_watch{false};
-std::atomic<std::size_t> g_largest_request{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_watch.load(std::memory_order_relaxed)) {
-    std::size_t cur = g_largest_request.load(std::memory_order_relaxed);
-    while (n > cur && !g_largest_request.compare_exchange_weak(cur, n)) {
-    }
-  }
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return ::operator new(n);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-// GCC pairs free() with the operator new it inlined and warns; both sides
-// of every pair here are malloc/free.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop
+#include "../alloc_watch.hpp"
 
 namespace {
 
@@ -178,17 +135,8 @@ TEST(Pup, UnpackerUnderflowThrows) {
 /// the way; the decode must throw std::length_error.
 template <typename T>
 std::size_t largest_request_decoding(const std::vector<std::byte>& payload) {
-  g_largest_request.store(0);
-  g_watch.store(true);
-  bool threw = false;
-  try {
-    (void)pup::from_bytes<T>(payload);
-  } catch (const std::length_error&) {
-    threw = true;
-  }
-  g_watch.store(false);
-  EXPECT_TRUE(threw);
-  return g_largest_request.load();
+  return alloc_watch::largest_request_throwing(
+      [&] { (void)pup::from_bytes<T>(payload); });
 }
 
 /// An 8-byte count claiming `n` elements, followed by `extra` bytes.
